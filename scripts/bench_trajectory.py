@@ -15,19 +15,17 @@ dict-based reference oracle (best of ``--passes`` warm passes each),
 whose ratio is the fast path's speedup on real sweep work, plus a
 cold-vs-warm-cache ``repro.tuner`` timing (the warm tune must perform
 zero new simulations; its wall time is the search overhead alone), and
-a batched-vs-serial backend timing on an 8-job same-kernel batch (the
-``REPRO_BACKEND=batched`` struct-of-arrays core against eight
-independent fast-path runs; ``--check`` re-times it with a 1.2x
-floor), and the rung-0 analytic-vs-simulated cost per tuning decision
+the rung-0 analytic-vs-simulated cost per tuning decision
 (one closed-form estimate against one fast-path simulation over the
 same matrix; ``--check`` re-times it with a 20x floor — the model
 exists to be ~50x+ cheaper per decision), the reuse-graph oracle
 bound's cost against a full simulation of the same kernels (the
 tuner's admission filter and the tenancy oracle column both lean on
 the bound being essentially free; expected >= 50x, ``--check`` floor
-15x), and the same economics on a chiplet *placement* decision (the chiplet study's HST/BKP x placement
-matrix on the 4-chiplet Maxwell through both executors; ``--check``
-floor 5x at the study's shrunken scale).
+15x), and the same economics on a chiplet *placement* decision (the
+chiplet study's HST/BKP x placement matrix on the 4-chiplet Maxwell
+through both executors; ``--check`` floor 5x at the study's shrunken
+scale).
 
 Usage::
 
@@ -37,7 +35,9 @@ Usage::
 
 ``--check`` is the CI bench guard: it times the warm serial matrix and
 fails (exit 1) if it regressed more than ``--tolerance`` (default 20%)
-against the last recorded entry, without appending anything.
+against the last recorded entry, then re-times the analytic, bound and
+chiplet ratios against their fixed floors (whether or not the last
+entry recorded them), without appending anything.
 """
 
 from __future__ import annotations
@@ -123,52 +123,6 @@ def _measure_fastpath(passes: int) -> dict:
         "reference_seconds": round(seconds["reference"], 3),
         "fast_seconds": round(seconds["fast"], 3),
         "speedup": round(seconds["reference"] / seconds["fast"], 2),
-        "passes": passes,
-    }
-
-
-def _batched_batch():
-    """A >= 8-job same-kernel batch (the batched backend's home turf)."""
-    from repro import api
-    from repro.gpu.backend import BatchItem
-    from repro.workloads.registry import workload
-
-    kernel = workload("NN").kernel(scale=SCALE, config=TESLA_K40)
-    items = []
-    for i in range(8):
-        scheme = ("BSL", "RD", "CLU", "CLU")[i % 4]
-        plan = None
-        if scheme != "BSL":
-            plan = api.cluster(kernel, scheme, gpu=TESLA_K40, seed=i)
-        items.append(BatchItem(plan=plan, seed=i, warmups=1))
-    return kernel, items
-
-
-def _measure_batched(passes: int) -> dict:
-    """Warm batched-backend vs serial-fastpath timing on one batch.
-
-    Both paths run the identical 8-job batch (bit-identical results —
-    see the batched differential suite); the ratio is the wall-clock
-    win of the struct-of-arrays arena + fused batch loop over eight
-    independent fast-path runs.
-    """
-    from repro.gpu.backend import simulate_batch
-
-    kernel, items = _batched_batch()
-    seconds = {}
-    for backend in ("serial", "batched"):
-        simulate_batch(TESLA_K40, kernel, items, backend=backend)  # warm
-        best = float("inf")
-        for _ in range(passes):
-            start = time.perf_counter()
-            simulate_batch(TESLA_K40, kernel, items, backend=backend)
-            best = min(best, time.perf_counter() - start)
-        seconds[backend] = best
-    return {
-        "jobs": len(items),
-        "serial_seconds": round(seconds["serial"], 3),
-        "batched_seconds": round(seconds["batched"], 3),
-        "speedup": round(seconds["serial"] / seconds["batched"], 2),
         "passes": passes,
     }
 
@@ -397,57 +351,31 @@ def _check(output: str, passes: int, tolerance: float) -> int:
           f"{kind} baseline {baseline:.3f}s from commit "
           f"{last.get('commit', '?')} (limit {limit:.3f}s) -> {verdict}")
     failed = current > limit
-    if last.get("batched") is not None:
-        # The recorded entry claims >= 1.5x on the 8-job batch; re-time
-        # with a CI-variance floor so a real regression (batched no
-        # faster than serial) fails without flaking on noisy runners.
-        floor = 1.2
-        batched = _measure_batched(passes)
-        verdict = "OK" if batched["speedup"] >= floor else "REGRESSION"
-        print(f"bench check: batched backend {batched['speedup']:.2f}x "
-              f"over serial on a {batched['jobs']}-job batch "
-              f"(recorded {last['batched']['speedup']:.2f}x, "
-              f"floor {floor:.1f}x) -> {verdict}")
-        failed = failed or batched["speedup"] < floor
-    if last.get("analytic") is not None:
-        # The analytic rung only earns its place as triage if it stays
-        # dramatically cheaper than simulating; 20x is the CI floor
-        # under the recorded ~50x+.
-        floor = 20.0
-        analytic = _measure_analytic(passes)
-        verdict = "OK" if analytic["speedup"] >= floor else "REGRESSION"
-        print(f"bench check: analytic rung {analytic['speedup']:.1f}x "
-              f"cheaper per decision than simulation "
-              f"(recorded {last['analytic']['speedup']:.1f}x, "
+    # Fixed floors, far below the recorded ratios so noisy runners do
+    # not flake.  Each ratio says a cheaper answer stays dramatically
+    # cheaper than simulating:
+    # * analytic — rung-0 only earns its place as triage at >= 20x
+    #   (recorded ~50x+);
+    # * bound — the tuner's admission pruning and the tenancy oracle
+    #   column assume the bound is essentially free (recorded >= 50x);
+    # * chiplet — placement triage on the NUMA-charged simulation; the
+    #   matrix runs at the study's shrunken 0.3 scale, so its floor
+    #   sits below the tuner-scale analytic floor.
+    for key, floor, measure, what in (
+            ("analytic", 20.0, _measure_analytic,
+             "analytic rung {:.1f}x cheaper per decision than simulation"),
+            ("bound", 15.0, _measure_bound,
+             "oracle bound {:.1f}x cheaper per decision than simulation"),
+            ("chiplet", 5.0, _measure_chiplet,
+             "chiplet placement decision {:.1f}x cheaper analytically "
+             "than simulated")):
+        speedup = measure(passes)["speedup"]
+        recorded = last.get(key, {}).get("speedup")
+        recorded = f"{recorded:.1f}x" if recorded is not None else "n/a"
+        verdict = "OK" if speedup >= floor else "REGRESSION"
+        print(f"bench check: {what.format(speedup)} (recorded {recorded}, "
               f"floor {floor:.0f}x) -> {verdict}")
-        failed = failed or analytic["speedup"] < floor
-    if last.get("bound") is not None:
-        # The oracle bound backs the tuner's admission pruning and the
-        # tenancy oracle column; both assume asking the bound is
-        # essentially free next to simulating.  Recorded entries claim
-        # >= 50x; 15x is the CI-variance floor.
-        floor = 15.0
-        bound = _measure_bound(passes)
-        verdict = "OK" if bound["speedup"] >= floor else "REGRESSION"
-        print(f"bench check: oracle bound {bound['speedup']:.1f}x "
-              f"cheaper per decision than simulation "
-              f"(recorded {last['bound']['speedup']:.1f}x, "
-              f"floor {floor:.0f}x) -> {verdict}")
-        failed = failed or bound["speedup"] < floor
-    if last.get("chiplet") is not None:
-        # Same economics on the chiplet placement decision: rung-0
-        # must stay far cheaper than a NUMA-charged simulation for
-        # placement triage to make sense.  The matrix runs at the
-        # study's shrunken 0.3 scale, so the floor sits below the
-        # tuner-scale analytic floor.
-        floor = 5.0
-        chiplet = _measure_chiplet(passes)
-        verdict = "OK" if chiplet["speedup"] >= floor else "REGRESSION"
-        print(f"bench check: chiplet placement decision "
-              f"{chiplet['speedup']:.1f}x cheaper analytically than "
-              f"simulated (recorded {last['chiplet']['speedup']:.1f}x, "
-              f"floor {floor:.0f}x) -> {verdict}")
-        failed = failed or chiplet["speedup"] < floor
+        failed = failed or speedup < floor
     return 1 if failed else 0
 
 
@@ -490,7 +418,6 @@ def main(argv=None) -> int:
         "serial": _measure(jobs=1),
         "parallel": _measure(jobs=args.jobs),
         "fastpath": _measure_fastpath(args.passes),
-        "batched": _measure_batched(args.passes),
         "analytic": _measure_analytic(args.passes),
         "bound": _measure_bound(args.passes),
         "chiplet": _measure_chiplet(args.passes),

@@ -97,7 +97,6 @@ from repro.gpu import (
     chiplet_variant,
     max_ctas_per_sm,
     platform,
-    run_measured,
 )
 from repro.kernels import (
     AddressSpace,
@@ -117,7 +116,7 @@ from repro.workloads.registry import (
     workload,
 )
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 
 def version_line() -> str:
@@ -144,7 +143,7 @@ __all__ = [
     "GTX570", "GTX750TI", "GTX980", "GTX980X2", "GTX980X4", "GTX1080",
     "GTX1080X2", "GTX1080X4", "GpuSimulator", "KernelMetrics", "PLACEMENTS",
     "TESLA_K40", "TOPOLOGIES", "baseline_plan", "chiplet_variant",
-    "max_ctas_per_sm", "platform", "run_measured",
+    "max_ctas_per_sm", "platform",
     "AddressSpace", "ArrayRef", "Dim3", "KernelSpec", "LocalityCategory",
     "read", "write",
     "ProfileSession", "RecordingTracer", "Tracer",

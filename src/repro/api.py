@@ -192,8 +192,7 @@ def cluster(kernel, scheme: str = "CLU", *, gpu,
 def simulate(workload, gpu, *, scheme: str = None, plan: ExecutionPlan = None,
              scale: float = 1.0, seed: int = 0, warmups: int = 1,
              record_per_cta: bool = False, tracer=None,
-             fast: bool = None, backend: str = None,
-             fidelity=None, topology=None,
+             fast: bool = None, fidelity=None, topology=None,
              placement: str = None) -> KernelMetrics:
     """Measure one workload (or kernel) on one platform.
 
@@ -216,18 +215,13 @@ def simulate(workload, gpu, *, scheme: str = None, plan: ExecutionPlan = None,
     reference cores are bit-identical, so the flag never changes a
     result — only wall-clock time.
 
-    ``backend`` selects the execution backend (``"serial"`` /
-    ``"batched"``; default from ``REPRO_BACKEND``).  The batched
-    struct-of-arrays core and the serial path are bit-identical too —
-    both seams only ever trade wall-clock time.
-
     ``fidelity`` names the measurement rung: ``"full"`` (default)
     simulates at the requested scale, ``"reduced"`` at half of it, and
     ``"analytic"`` delegates to :func:`estimate` — returning an
     :class:`~repro.gpu.analytic.AnalyticEstimate` (which shares the
     canonical metric fields with :class:`~repro.gpu.metrics.KernelMetrics`)
     and ignoring the simulation-only knobs (``record_per_cta``,
-    ``tracer``, ``fast``, ``backend``).
+    ``tracer``, ``fast``).
 
     ``topology`` derives a chiplet variant of the platform before
     anything runs (see :func:`apply_topology`); ``placement`` names
@@ -259,7 +253,7 @@ def simulate(workload, gpu, *, scheme: str = None, plan: ExecutionPlan = None,
     return _simulate_kernel(simulator if simulator is not None else config,
                             kernel, plan, seed=seed, warmups=warmups,
                             record_per_cta=record_per_cta, tracer=tracer,
-                            fast=fast, backend=backend)
+                            fast=fast)
 
 
 def estimate(workload, gpu, *, scheme: str = None, plan: ExecutionPlan = None,

@@ -179,8 +179,8 @@ def _simulator_for(job: SimJob, gpu: GpuConfig) -> GpuSimulator:
 def _measure_plan(job: SimJob, workload: Workload, gpu: GpuConfig, kernel):
     """Rebuild the execution plan a ``measure`` job names.
 
-    Shared by the serial executor and the batched path so the plan a
-    job gets can never depend on how it was dispatched.
+    Shared by the ``measure`` and ``estimate`` executors so a job's
+    analytic estimate always prices the plan its simulation would run.
     """
     from repro.core.agent import agent_plan
     from repro.core.indexing import TileWiseIndexing
@@ -514,70 +514,6 @@ def _run_cotenant(job: SimJob):
     mix = TenantMix.of(*tenants, policy=str(job.extra("policy", "shared")))
     return run_mix(mix, platform(job.gpu), seed=job.seed,
                    warmups=job.warmups)
-
-
-# ----------------------------------------------------------------------
-# batching — grouping compatible jobs for the batched backend
-# ----------------------------------------------------------------------
-
-def batch_key(job: SimJob):
-    """The grouping key for the batched backend, or ``None``.
-
-    Jobs with equal keys share a kernel and a platform, so a whole
-    group can run through :func:`repro.gpu.backend.simulate_batch` —
-    one compiled access stream, one struct-of-arrays arena.  Only the
-    ``measure`` and ``simulate`` kinds batch (their executors are
-    single ``simulate`` calls); every other kind returns ``None`` and
-    keeps its per-job executor.
-    """
-    if job.kind not in ("measure", "simulate"):
-        return None
-    return (job.workload, job.gpu, job.scale,
-            job.extra("l1_size"), job.extra("l1_sectors"),
-            int(job.extra("l2_divisor", 1)), job.extra("topology"))
-
-
-def execute_batch(jobs, *, timings: "list | None" = None) -> list:
-    """Run a group of same-``batch_key`` jobs as one batched call.
-
-    Returns one result per job, in order, bit-identical to
-    ``[execute(job) for job in jobs]`` — each job's plan is rebuilt by
-    the same code its serial executor uses, and the batched core is
-    differentially fuzzed against the serial path.  ``timings``, when
-    a list, receives one ``(start, duration)`` pair per job
-    (simulation time only; plan construction is batch-wide setup).
-    """
-    from repro.gpu.backend import BatchItem, simulate_batch
-
-    first = jobs[0]
-    workload = _lookup_workload(first.workload)
-    gpu = _platform_for(first)
-    kernel = workload.kernel(scale=first.scale, config=gpu)
-    items = []
-    for job in jobs:
-        if job.kind == "measure":
-            plan = _measure_plan(job, workload, gpu, kernel)
-            scheduler = job.extra("scheduler")
-            hiding_cap = job.extra("hiding_cap")
-            join_stagger = job.extra("join_stagger")
-            items.append(BatchItem(
-                plan=plan, seed=job.seed, warmups=job.warmups,
-                scheduler=(SCHEDULERS[scheduler] if scheduler is not None
-                           else None),
-                hiding_cap=(float(hiding_cap) if hiding_cap is not None
-                            else 14.0),
-                join_stagger=(int(join_stagger) if join_stagger is not None
-                              else 6)))
-        else:  # simulate — mirror repro.api.simulate exactly
-            from repro.api import cluster as api_cluster
-            plan = None
-            if job.scheme is not None and job.scheme != "BSL":
-                plan = api_cluster(kernel, job.scheme, gpu=gpu, seed=job.seed,
-                                   placement=job.extra("placement"))
-            items.append(BatchItem(plan=plan, seed=job.seed,
-                                   warmups=job.warmups))
-    return simulate_batch(gpu, kernel, items, backend="batched",
-                          timings=timings)
 
 
 @executor("cluster")

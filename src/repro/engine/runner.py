@@ -52,10 +52,6 @@ class SweepStats:
     #: In parallel runs this exceeds the ``execute`` phase wall time —
     #: the ratio is the effective parallel speedup.
     worker_seconds: float = 0.0
-    #: Groups of two or more compatible jobs the batched backend ran
-    #: as one struct-of-arrays call, and the jobs those groups covered.
-    batches: int = 0
-    batched_jobs: int = 0
     #: Wall seconds per runner phase (dedup/lookup/execute/store).
     phase_seconds: "dict[str, float]" = field(default_factory=dict)
 
@@ -96,28 +92,6 @@ def _timed_execute(job: SimJob) -> "tuple[object, float, float, int]":
     return value, started, time.perf_counter() - started, os.getpid()
 
 
-def _timed_execute_group(group: "list[SimJob]") -> "list[tuple]":
-    """Execute one same-``batch_key`` group, one timed tuple per job.
-
-    Groups of one (and any group the batched path cannot take for an
-    unexpected reason) fall back to per-job :func:`_timed_execute`, so
-    a batch-level failure degrades to the serial path's exact per-job
-    error behavior instead of poisoning the whole group.  Top-level so
-    ``pool.map`` can pickle it.
-    """
-    if len(group) == 1:
-        return [_timed_execute(group[0])]
-    from repro.engine.executors import execute_batch
-    timings: "list[tuple[float, float]]" = []
-    try:
-        values = execute_batch(group, timings=timings)
-    except Exception:
-        return [_timed_execute(job) for job in group]
-    pid = os.getpid()
-    return [(value, start, duration, pid)
-            for value, (start, duration) in zip(values, timings)]
-
-
 @dataclass
 class SweepRunner:
     """Executes job batches for the experiment drivers.
@@ -132,13 +106,6 @@ class SweepRunner:
     :class:`~repro.obs.profile.ProfileSession` (anything with a
     ``job_span(label, start, duration, pid)`` method) that receives
     per-job worker spans.
-
-    ``backend`` selects the simulation backend (``"serial"`` /
-    ``"batched"``; ``None`` defers to ``REPRO_BACKEND``).  Under the
-    batched backend the runner groups ready jobs that share a
-    (kernel, platform) pair — :func:`~repro.engine.executors.batch_key`
-    — and ships each group as one struct-of-arrays call; results stay
-    bit-identical to the serial backend, only wall-clock changes.
     """
 
     jobs: int = 1
@@ -147,7 +114,6 @@ class SweepRunner:
     memo: "dict | bool | None" = None
     progress: bool = False
     profile: "object | None" = None
-    backend: "str | None" = None
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -194,7 +160,7 @@ class SweepRunner:
         worker_seconds = 0.0
         store_seconds = 0.0
         try:
-            for job, timed, group_size in self._execute(to_run):
+            for job, timed in self._execute(to_run):
                 value, span_start, span_duration, pid = timed
                 values[job.key] = value
                 worker_seconds += span_duration
@@ -206,10 +172,7 @@ class SweepRunner:
                     self.cache.put(job, value)
                     store_seconds += time.perf_counter() - store_mark
                 if eta is not None:
-                    note = job.label()
-                    if group_size > 1:
-                        note = f"{note} [batch {group_size}]"
-                    eta.step(note)
+                    eta.step(job.label())
         finally:
             if eta is not None:
                 eta.close()
@@ -231,79 +194,26 @@ class SweepRunner:
         return self.run([job])[0]
 
     def _execute(self, to_run: Sequence[SimJob]) -> Iterator[tuple]:
-        """Yield ``(job, timed_tuple, group_size)`` in execution order.
-
-        Under the batched backend, jobs are grouped by
-        :func:`~repro.engine.executors.batch_key` first; the merge in
-        :meth:`run` is by job identity, so regrouping never reorders
-        the returned results.
-        """
-        groups = self._group(to_run)
+        """Yield ``(job, timed_tuple)`` in submission order."""
         if self.jobs > 1 and len(to_run) > 1:
-            workers = min(self.jobs, len(groups))
+            workers = min(self.jobs, len(to_run))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 # chunksize=1 so completed spans stream back promptly
                 # for the progress line; map still preserves order.
-                results = pool.map(_timed_execute_group, groups, chunksize=1)
-                for group, timed_list in zip(groups, results):
-                    self._note_group(group, timed_list)
-                    for job, timed in zip(group, timed_list):
-                        yield job, timed, len(group)
+                results = pool.map(_timed_execute, to_run, chunksize=1)
+                yield from zip(to_run, results)
         else:
-            for group in groups:
-                timed_list = _timed_execute_group(group)
-                self._note_group(group, timed_list)
-                for job, timed in zip(group, timed_list):
-                    yield job, timed, len(group)
-
-    def _group(self, to_run: Sequence[SimJob]) -> "list[list[SimJob]]":
-        """Partition ready jobs into batched-backend groups.
-
-        Serial backend (the default): every job is its own group, so
-        dispatch is byte-for-byte the historical per-job path.
-        """
-        backend = self.backend
-        if backend is None:
-            from repro.gpu.backend import default_backend
-            backend = default_backend()
-        if backend != "batched":
-            return [[job] for job in to_run]
-        from repro.engine.executors import batch_key
-        groups: "list[list[SimJob]]" = []
-        index: "dict[tuple, int]" = {}
-        for job in to_run:
-            key = batch_key(job)
-            if key is None:
-                groups.append([job])
-            elif key in index:
-                groups[index[key]].append(job)
-            else:
-                index[key] = len(groups)
-                groups.append([job])
-        return groups
-
-    def _note_group(self, group, timed_list) -> None:
-        """Record batch occupancy (stats + optional profile span)."""
-        if len(group) < 2:
-            return
-        self.stats.batches += 1
-        self.stats.batched_jobs += len(group)
-        if self.profile is not None and hasattr(self.profile, "batch_span"):
-            start = timed_list[0][1]
-            end = timed_list[-1][1] + timed_list[-1][2]
-            self.profile.batch_span(len(group), start, end - start,
-                                    timed_list[0][3])
+            for job in to_run:
+                yield job, _timed_execute(job)
 
 
 def default_runner(jobs: int = 1, cached: bool = False,
                    cache_root=None, memo: bool = False,
-                   progress: bool = False, profile=None,
-                   backend: str = None) -> SweepRunner:
+                   progress: bool = False, profile=None) -> SweepRunner:
     """Build a runner the way the CLI does (optionally cached)."""
     cache = None
     if cached:
         cache = ResultCache(cache_root) if cache_root is not None \
             else ResultCache()
     return SweepRunner(jobs=jobs, cache=cache, memo=memo,
-                       progress=progress, profile=profile,
-                       backend=backend)
+                       progress=progress, profile=profile)

@@ -19,16 +19,10 @@ The tuner's ``halving`` strategy climbs this ladder (triage on rung 0,
 spend simulation budget only on survivors), ``repro.api`` accepts
 ``fidelity=`` on its entry points, and the service serves rung 0 from
 ``POST /v1/estimate`` without touching its process pool.
-
-Historically the tuner expressed fidelity as a raw scale-multiplier
-float (``0.5`` meaning "half scale").  :func:`resolve_fidelity` still
-accepts those floats with a :class:`DeprecationWarning`, mapping them
-onto the nearest named rung.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 
@@ -85,11 +79,9 @@ def resolve_fidelity(value, *, default: Fidelity = FULL) -> Fidelity:
     """Normalize a caller-supplied fidelity to a named rung.
 
     Accepts a :class:`Fidelity`, a rung name (``"analytic"`` /
-    ``"reduced"`` / ``"full"``, case-insensitive), ``None``
-    (→ ``default``), or — for
-    backward compatibility with the pre-1.4 tuner API — a raw
-    scale-multiplier float, which warns and maps to ``full`` when
-    ``>= 1.0`` and ``reduced`` otherwise.
+    ``"reduced"`` / ``"full"``, case-insensitive) or ``None``
+    (→ ``default``).  Anything else, floats included, is a
+    :class:`TypeError`.
     """
     if value is None:
         return default
@@ -102,16 +94,6 @@ def resolve_fidelity(value, *, default: Fidelity = FULL) -> Fidelity:
             raise ValueError(
                 f"unknown fidelity {value!r}; known rungs: "
                 f"{sorted(FIDELITIES)}") from None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value <= 0.0:
-            raise ValueError(
-                f"fidelity multiplier must be > 0, got {value!r}")
-        rung = FULL if value >= 1.0 else REDUCED
-        warnings.warn(
-            f"float fidelity {value!r} is deprecated; use the named rung "
-            f"{rung.name!r} (repro.fidelity) instead",
-            DeprecationWarning, stacklevel=3)
-        return rung
     raise TypeError(
-        f"fidelity must be a Fidelity, rung name or legacy float, "
-        f"got {type(value).__name__}")
+        f"fidelity must be a Fidelity or a rung name "
+        f"({sorted(FIDELITIES)}), got {type(value).__name__}")

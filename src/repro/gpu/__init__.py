@@ -42,12 +42,7 @@ from repro.gpu.scheduler import (
     RoundRobinScheduler,
     SCHEDULERS,
 )
-from repro.gpu.simulator import (
-    GpuSimulator,
-    run_baseline,
-    run_measured,
-    simulate,
-)
+from repro.gpu.simulator import GpuSimulator, simulate
 
 __all__ = [
     "Architecture", "BY_ARCHITECTURE", "CHIPLET_PLATFORMS",
@@ -61,5 +56,5 @@ __all__ = [
     "KernelMetrics", "geometric_mean", "max_ctas_per_sm",
     "occupancy_report", "ExecutionPlan", "baseline_plan", "ObservedScheduler",
     "RandomizedScheduler", "RoundRobinScheduler", "SCHEDULERS", "GpuSimulator",
-    "run_baseline", "run_measured", "simulate",
+    "simulate",
 ]

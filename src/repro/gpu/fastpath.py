@@ -26,10 +26,19 @@ Where the speed comes from:
   coalescer runs once per CTA per cache geometry for a whole sweep —
   across warm-ups, schemes, plans and platforms that share it.
 
+* **Memoized chunk schedules.**  The interleave order of a wave is a
+  pure function of the co-resident trace lengths (plus the interleave
+  chunk and join stagger), so the round-robin bookkeeping — who runs
+  next, how many ops, when the next CTA joins — is computed once per
+  distinct length tuple by :func:`_chunk_schedule` and replayed as a
+  flat ``(slot, start, stop)`` chunk list.  Full waves of a kernel
+  share one schedule across every launch of a sweep.
+
 * **A fused wave loop.**  :func:`execute_wave` inlines the L1/L2
-  access logic into the interleave loop: bound methods, config scalars
-  and stats counters all live in locals, and counters are flushed to
-  the metrics/stat objects once per wave.
+  access logic into the schedule replay: bound methods, config scalars
+  and stats counters all live in locals, compiled ops are indexed
+  directly (no per-chunk slicing), and counters are flushed to the
+  metrics/stat objects once per wave.
 """
 
 from __future__ import annotations
@@ -41,6 +50,11 @@ from repro.gpu.config import WritePolicy
 _LCG_MUL = 1103515245
 _LCG_ADD = 12345
 _LCG_MASK = 0xFFFFFFFF
+
+#: Chunk-schedule memo: (lengths, interleave, join_stagger) -> chunks.
+#: Bounded; cleared wholesale when full.
+_SCHEDULES: dict = {}
+_SCHEDULES_CAP = 1024
 
 
 class FastSetAssociativeCache:
@@ -250,6 +264,44 @@ def is_fast_caches(l1s, l2) -> bool:
             and all(isinstance(l1, FastSectoredCache) for l1 in l1s))
 
 
+def _chunk_schedule(lengths: tuple, interleave: int,
+                    join_stagger: int) -> "list[tuple[int, int, int]]":
+    """Replay the interleave bookkeeping into a flat chunk list.
+
+    Round-robin over the active slots, ``interleave`` ops per turn,
+    with one more CTA joining once ``join_stagger`` ops have issued
+    since the last join (or when every active slot is drained) — the
+    reference executor's loop minus the cache work.  The resulting
+    ``(slot, start, stop)`` chunks visit ops in the identical order,
+    so replaying a memoized schedule is arithmetic-order-neutral.
+    """
+    n = len(lengths)
+    indices = [0] * n
+    remaining = sum(lengths)
+    chunks = []
+    active = 1
+    since_join = 0
+    while remaining:
+        progressed = False
+        for slot in range(active):
+            i = indices[slot]
+            length = lengths[slot]
+            if i >= length:
+                continue
+            progressed = True
+            stop = i + interleave
+            if stop > length:
+                stop = length
+            chunks.append((slot, i, stop))
+            indices[slot] = stop
+            remaining -= stop - i
+            since_join += stop - i
+        if active < n and (since_join >= join_stagger or not progressed):
+            active += 1
+            since_join = 0
+    return chunks
+
+
 def execute_wave(sim, kernel, cta_ids, start, l1, l2, metrics,
                  record_per_cta, sm_id, turnaround, prefetch_targets,
                  plan, tracer=None):
@@ -257,7 +309,8 @@ def execute_wave(sim, kernel, cta_ids, start, l1, l2, metrics,
 
     Consumes precompiled access ops (see
     :meth:`repro.kernels.kernel.KernelSpec.compiled_trace`) and inlines
-    both cache levels into the interleave loop.  Arithmetic order is
+    both cache levels into the replay of the wave's memoized chunk
+    schedule (see :func:`_chunk_schedule`).  Arithmetic order is
     identical to the reference executor access by access, so cursors,
     per-CTA cycles and every counter match bit for bit.
     """
@@ -319,7 +372,7 @@ def execute_wave(sim, kernel, cta_ids, start, l1, l2, metrics,
 
     traces = [kernel.compiled_trace(v, l1_line_size, l2_line_size)
               for v in cta_ids]
-    lengths = [len(t) for t in traces]
+    lengths = tuple(len(t) for t in traces)
 
     # The sector (and hence L1 part) a CTA's accesses hit depends only
     # on its slot, so resolve tag/ready/geometry/counter references
@@ -331,6 +384,16 @@ def execute_wave(sim, kernel, cta_ids, start, l1, l2, metrics,
         slot_states.append((part._tags, part._ready, part.n_sets,
                             part.assoc, l1_counts[p]))
 
+    # The whole interleave order, computed once per length shape and
+    # replayed for every wave that shares it.
+    skey = (lengths, interleave, join_stagger)
+    schedule = _SCHEDULES.get(skey)
+    if schedule is None:
+        if len(_SCHEDULES) >= _SCHEDULES_CAP:
+            _SCHEDULES.clear()
+        schedule = _SCHEDULES[skey] = _chunk_schedule(lengths, interleave,
+                                                      join_stagger)
+
     trace_on = tracer is not None
     maybe_bypass = (not l1_enabled) or bypass
     need_cycles = record_per_cta or trace_on
@@ -338,267 +401,247 @@ def execute_wave(sim, kernel, cta_ids, start, l1, l2, metrics,
 
     cursor = start
     cta_cycles = [0.0] * n
-    indices = [0] * n
-    remaining = sum(lengths)
-    metrics.warp_accesses += remaining
-    active = 1
-    since_join = 0
-    while remaining:
-        progressed = False
-        for slot in range(active):
-            i = indices[slot]
-            length = lengths[slot]
-            if i >= length:
-                continue
-            progressed = True
-            stop = i + interleave
-            if stop > length:
-                stop = length
-            p_tags, p_readys, p_n_sets, p_assoc, counts = slot_states[slot]
-            for op in traces[slot][i:stop]:
-                is_write, is_stream, l1_ops, l2_lines = op
-                # ----------------------------------------------------
-                # inline _do_access
-                # ----------------------------------------------------
-                if is_write:
-                    service = 0.0
-                    if l1_enabled and not (bypass and is_stream):
-                        nsegs = _len(l1_ops)
-                        counts[0] += nsegs
-                        counts[2] += nsegs
-                        for line, _subs in l1_ops:
-                            s_idx = line % p_n_sets
-                            tags = p_tags[s_idx]
-                            if line in tags:
-                                k = tags.index(line)
-                                del tags[k]
-                                del p_readys[s_idx][k]
-                                counts[4] += 1
-                                if trace_on:
-                                    tracer.cache_event("L1",
-                                                       "write_eviction",
-                                                       cursor)
-                    l2_acc += _len(l2_lines)
-                    l2_write_txn += _len(l2_lines)
-                    for line in l2_lines:
-                        s_idx = line % l2_n_sets
-                        tags = l2_tags[s_idx]
-                        readys = l2_readys[s_idx]
-                        if line in tags:
-                            k = tags.index(line)
-                            if readys[k] > cursor:
-                                l2_reserved += 1
-                                if trace_on:
-                                    tracer.cache_event("L2", "reserved_hit",
-                                                       cursor)
-                            hit = True
-                        else:
-                            l2_misses += 1
-                            if trace_on:
-                                tracer.cache_event("L2", "miss", cursor)
-                            if _len(tags) >= l2_assoc:
-                                l2_rng = (l2_rng * _LCG_MUL
-                                          + _LCG_ADD) & _LCG_MASK
-                                v = (l2_rng >> 16) % _len(tags)
-                                del tags[v]
-                                del readys[v]
-                                if trace_on:
-                                    tracer.cache_event("L2", "eviction",
-                                                       cursor)
-                            tags.append(line)
-                            remote = topo_on and (line // lines_per_block) \
-                                % n_chiplets != home
-                            if remote:
-                                readys.append(cursor + l2_fill_remote)
-                            else:
-                                readys.append(cursor + l2_fill)
-                            hit = False
-                        service += l2_service
-                        if not hit:
-                            dram_txn += 1
-                            service += dram_service
-                            if remote:
-                                dram_remote += 1
-                                service += hop_service
-                    latency = 0.0
-                elif maybe_bypass and (not l1_enabled
-                                       or (bypass and is_stream)):
-                    worst = l2_latency
-                    service = 0.0
-                    l2_acc += _len(l2_lines)
-                    l2_read_txn += _len(l2_lines)
-                    for line in l2_lines:
-                        s_idx = line % l2_n_sets
-                        tags = l2_tags[s_idx]
-                        readys = l2_readys[s_idx]
-                        if line in tags:
-                            k = tags.index(line)
-                            ready = readys[k]
-                            if ready > cursor:
-                                l2_reserved += 1
-                                if trace_on:
-                                    tracer.cache_event("L2", "reserved_hit",
-                                                       cursor)
-                                hit_ready = ready
-                            else:
-                                hit_ready = cursor
-                            service += l2_service
-                            wait = (hit_ready - cursor) * reserved_exposure \
-                                if hit_ready > cursor else 0.0
-                            candidate = l2_latency + wait
-                            if candidate > worst:
-                                worst = candidate
-                        else:
-                            l2_misses += 1
-                            if trace_on:
-                                tracer.cache_event("L2", "miss", cursor)
-                            if _len(tags) >= l2_assoc:
-                                l2_rng = (l2_rng * _LCG_MUL
-                                          + _LCG_ADD) & _LCG_MASK
-                                v = (l2_rng >> 16) % _len(tags)
-                                del tags[v]
-                                del readys[v]
-                                if trace_on:
-                                    tracer.cache_event("L2", "eviction",
-                                                       cursor)
-                            tags.append(line)
-                            remote = topo_on and (line // lines_per_block) \
-                                % n_chiplets != home
-                            if remote:
-                                readys.append(cursor + l2_fill_remote)
-                            else:
-                                readys.append(cursor + l2_fill)
-                            service += l2_service
-                            dram_txn += 1
-                            service += dram_service
-                            if remote:
-                                dram_remote += 1
-                                service += hop_service
-                                if dram_latency_remote > worst:
-                                    worst = dram_latency_remote
-                            elif dram_latency > worst:
-                                worst = dram_latency
-                    latency = worst
-                else:
-                    worst = l1_latency
-                    service = 0.0
-                    counts[0] += _len(l1_ops)
-                    for line, subs in l1_ops:
+    metrics.warp_accesses += sum(lengths)
+    for slot, a, b in schedule:
+        p_tags, p_readys, p_n_sets, p_assoc, counts = slot_states[slot]
+        ops = traces[slot]
+        while a < b:
+            is_write, is_stream, l1_ops, l2_lines = ops[a]
+            a += 1
+            # --------------------------------------------------------
+            # inline _do_access
+            # --------------------------------------------------------
+            if is_write:
+                service = 0.0
+                if l1_enabled and not (bypass and is_stream):
+                    nsegs = _len(l1_ops)
+                    counts[0] += nsegs
+                    counts[2] += nsegs
+                    for line, _subs in l1_ops:
                         s_idx = line % p_n_sets
                         tags = p_tags[s_idx]
-                        # MRU shortcut: when the line is already at the
-                        # back of the recency order the LRU touch is a
-                        # no-op — the common case under clustering,
-                        # where ganged CTAs re-read each other's lines.
-                        if tags and tags[-1] == line:
-                            ready = p_readys[s_idx][-1]
-                            if ready > cursor:
-                                counts[3] += 1
-                                if trace_on:
-                                    tracer.cache_event("L1", "reserved_hit",
-                                                       cursor)
-                                wait = (ready - cursor) * reserved_exposure
-                                candidate = l1_latency + wait
-                                if candidate > worst:
-                                    worst = candidate
-                            continue
-                        readys = p_readys[s_idx]
                         if line in tags:
                             k = tags.index(line)
-                            ready = readys[k]
-                            # LRU touch: move to the back
                             del tags[k]
-                            del readys[k]
-                            tags.append(line)
-                            readys.append(ready)
-                            if ready > cursor:
-                                counts[3] += 1
-                                if trace_on:
-                                    tracer.cache_event("L1", "reserved_hit",
-                                                       cursor)
-                                wait = (ready - cursor) * reserved_exposure
-                                candidate = l1_latency + wait
-                                if candidate > worst:
-                                    worst = candidate
-                            continue
-                        counts[2] += 1
-                        if trace_on:
-                            tracer.cache_event("L1", "miss", cursor)
-                        if _len(tags) >= p_assoc:
-                            del tags[0]
-                            del readys[0]
+                            del p_readys[s_idx][k]
+                            counts[4] += 1
                             if trace_on:
-                                tracer.cache_event("L1", "eviction", cursor)
+                                tracer.cache_event("L1", "write_eviction",
+                                                   cursor)
+                l2_acc += _len(l2_lines)
+                l2_write_txn += _len(l2_lines)
+                for line in l2_lines:
+                    s_idx = line % l2_n_sets
+                    tags = l2_tags[s_idx]
+                    readys = l2_readys[s_idx]
+                    if line in tags:
+                        k = tags.index(line)
+                        if readys[k] > cursor:
+                            l2_reserved += 1
+                            if trace_on:
+                                tracer.cache_event("L2", "reserved_hit",
+                                                   cursor)
+                        hit = True
+                    else:
+                        l2_misses += 1
+                        if trace_on:
+                            tracer.cache_event("L2", "miss", cursor)
+                        if _len(tags) >= l2_assoc:
+                            l2_rng = (l2_rng * _LCG_MUL
+                                      + _LCG_ADD) & _LCG_MASK
+                            v = (l2_rng >> 16) % _len(tags)
+                            del tags[v]
+                            del readys[v]
+                            if trace_on:
+                                tracer.cache_event("L2", "eviction",
+                                                   cursor)
                         tags.append(line)
-                        # The reference inserts at fill-time ``cursor``
-                        # then installs the real completion over it;
-                        # the line is last in recency order either
-                        # way, so write the final value directly.
-                        line_latency = l2_latency
-                        l2_acc += _len(subs)
-                        l2_read_txn += _len(subs)
-                        for sline in subs:
-                            sub_idx = sline % l2_n_sets
-                            stags = l2_tags[sub_idx]
-                            sreadys = l2_readys[sub_idx]
-                            if sline in stags:
-                                k = stags.index(sline)
-                                if sreadys[k] > cursor:
-                                    l2_reserved += 1
-                                    if trace_on:
-                                        tracer.cache_event(
-                                            "L2", "reserved_hit", cursor)
-                                sub_hit = True
-                            else:
-                                l2_misses += 1
+                        remote = topo_on and (line // lines_per_block) \
+                            % n_chiplets != home
+                        if remote:
+                            readys.append(cursor + l2_fill_remote)
+                        else:
+                            readys.append(cursor + l2_fill)
+                        hit = False
+                    service += l2_service
+                    if not hit:
+                        dram_txn += 1
+                        service += dram_service
+                        if remote:
+                            dram_remote += 1
+                            service += hop_service
+                latency = 0.0
+            elif maybe_bypass and (not l1_enabled
+                                   or (bypass and is_stream)):
+                worst = l2_latency
+                service = 0.0
+                l2_acc += _len(l2_lines)
+                l2_read_txn += _len(l2_lines)
+                for line in l2_lines:
+                    s_idx = line % l2_n_sets
+                    tags = l2_tags[s_idx]
+                    readys = l2_readys[s_idx]
+                    if line in tags:
+                        k = tags.index(line)
+                        ready = readys[k]
+                        if ready > cursor:
+                            l2_reserved += 1
+                            if trace_on:
+                                tracer.cache_event("L2", "reserved_hit",
+                                                   cursor)
+                            hit_ready = ready
+                        else:
+                            hit_ready = cursor
+                        service += l2_service
+                        wait = (hit_ready - cursor) * reserved_exposure \
+                            if hit_ready > cursor else 0.0
+                        candidate = l2_latency + wait
+                        if candidate > worst:
+                            worst = candidate
+                    else:
+                        l2_misses += 1
+                        if trace_on:
+                            tracer.cache_event("L2", "miss", cursor)
+                        if _len(tags) >= l2_assoc:
+                            l2_rng = (l2_rng * _LCG_MUL
+                                      + _LCG_ADD) & _LCG_MASK
+                            v = (l2_rng >> 16) % _len(tags)
+                            del tags[v]
+                            del readys[v]
+                            if trace_on:
+                                tracer.cache_event("L2", "eviction",
+                                                   cursor)
+                        tags.append(line)
+                        remote = topo_on and (line // lines_per_block) \
+                            % n_chiplets != home
+                        if remote:
+                            readys.append(cursor + l2_fill_remote)
+                        else:
+                            readys.append(cursor + l2_fill)
+                        service += l2_service
+                        dram_txn += 1
+                        service += dram_service
+                        if remote:
+                            dram_remote += 1
+                            service += hop_service
+                            if dram_latency_remote > worst:
+                                worst = dram_latency_remote
+                        elif dram_latency > worst:
+                            worst = dram_latency
+                latency = worst
+            else:
+                worst = l1_latency
+                service = 0.0
+                counts[0] += _len(l1_ops)
+                for line, subs in l1_ops:
+                    s_idx = line % p_n_sets
+                    tags = p_tags[s_idx]
+                    # MRU shortcut: when the line is already at the
+                    # back of the recency order the LRU touch is a
+                    # no-op — the common case under clustering,
+                    # where ganged CTAs re-read each other's lines.
+                    if tags and tags[-1] == line:
+                        ready = p_readys[s_idx][-1]
+                        if ready > cursor:
+                            counts[3] += 1
+                            if trace_on:
+                                tracer.cache_event("L1", "reserved_hit",
+                                                   cursor)
+                            wait = (ready - cursor) * reserved_exposure
+                            candidate = l1_latency + wait
+                            if candidate > worst:
+                                worst = candidate
+                        continue
+                    readys = p_readys[s_idx]
+                    if line in tags:
+                        k = tags.index(line)
+                        ready = readys[k]
+                        # LRU touch: move to the back
+                        del tags[k]
+                        del readys[k]
+                        tags.append(line)
+                        readys.append(ready)
+                        if ready > cursor:
+                            counts[3] += 1
+                            if trace_on:
+                                tracer.cache_event("L1", "reserved_hit",
+                                                   cursor)
+                            wait = (ready - cursor) * reserved_exposure
+                            candidate = l1_latency + wait
+                            if candidate > worst:
+                                worst = candidate
+                        continue
+                    counts[2] += 1
+                    if trace_on:
+                        tracer.cache_event("L1", "miss", cursor)
+                    if _len(tags) >= p_assoc:
+                        del tags[0]
+                        del readys[0]
+                        if trace_on:
+                            tracer.cache_event("L1", "eviction", cursor)
+                    tags.append(line)
+                    # The reference inserts at fill-time ``cursor``
+                    # then installs the real completion over it;
+                    # the line is last in recency order either
+                    # way, so write the final value directly.
+                    line_latency = l2_latency
+                    l2_acc += _len(subs)
+                    l2_read_txn += _len(subs)
+                    for sline in subs:
+                        sub_idx = sline % l2_n_sets
+                        stags = l2_tags[sub_idx]
+                        sreadys = l2_readys[sub_idx]
+                        if sline in stags:
+                            k = stags.index(sline)
+                            if sreadys[k] > cursor:
+                                l2_reserved += 1
                                 if trace_on:
-                                    tracer.cache_event("L2", "miss", cursor)
-                                if _len(stags) >= l2_assoc:
-                                    l2_rng = (l2_rng * _LCG_MUL
-                                              + _LCG_ADD) & _LCG_MASK
-                                    v = (l2_rng >> 16) % _len(stags)
-                                    del stags[v]
-                                    del sreadys[v]
-                                    if trace_on:
-                                        tracer.cache_event("L2", "eviction",
-                                                           cursor)
-                                stags.append(sline)
-                                sremote = topo_on \
-                                    and (sline // lines_per_block) \
-                                    % n_chiplets != home
-                                if sremote:
-                                    sreadys.append(cursor + l2_fill_remote)
-                                else:
-                                    sreadys.append(cursor + l2_fill)
-                                sub_hit = False
-                            service += l2_service
-                            if not sub_hit:
-                                dram_txn += 1
-                                service += dram_service
-                                if sremote:
-                                    dram_remote += 1
-                                    service += hop_service
-                                    line_latency = dram_latency_remote
-                                elif line_latency < dram_latency:
-                                    line_latency = dram_latency
-                        readys.append(cursor + line_latency)
-                        if line_latency > worst:
-                            worst = line_latency
-                    latency = worst
-                # ----------------------------------------------------
-                if need_cycles:
-                    step = alu_step + latency / hiding + service
-                    cursor += step
-                    cta_cycles[slot] += step
-                else:
-                    cursor += alu_step + latency / hiding + service
-            taken = stop - i
-            indices[slot] = stop
-            remaining -= taken
-            since_join += taken
-        if active < n and (since_join >= join_stagger or not progressed):
-            active += 1
-            since_join = 0
+                                    tracer.cache_event(
+                                        "L2", "reserved_hit", cursor)
+                            sub_hit = True
+                        else:
+                            l2_misses += 1
+                            if trace_on:
+                                tracer.cache_event("L2", "miss", cursor)
+                            if _len(stags) >= l2_assoc:
+                                l2_rng = (l2_rng * _LCG_MUL
+                                          + _LCG_ADD) & _LCG_MASK
+                                v = (l2_rng >> 16) % _len(stags)
+                                del stags[v]
+                                del sreadys[v]
+                                if trace_on:
+                                    tracer.cache_event("L2", "eviction",
+                                                       cursor)
+                            stags.append(sline)
+                            sremote = topo_on \
+                                and (sline // lines_per_block) \
+                                % n_chiplets != home
+                            if sremote:
+                                sreadys.append(cursor + l2_fill_remote)
+                            else:
+                                sreadys.append(cursor + l2_fill)
+                            sub_hit = False
+                        service += l2_service
+                        if not sub_hit:
+                            dram_txn += 1
+                            service += dram_service
+                            if sremote:
+                                dram_remote += 1
+                                service += hop_service
+                                line_latency = dram_latency_remote
+                            elif line_latency < dram_latency:
+                                line_latency = dram_latency
+                    readys.append(cursor + line_latency)
+                    if line_latency > worst:
+                        worst = line_latency
+                latency = worst
+            # --------------------------------------------------------
+            if need_cycles:
+                step = alu_step + latency / hiding + service
+                cursor += step
+                cta_cycles[slot] += step
+            else:
+                cursor += alu_step + latency / hiding + service
 
     # flush local counters back to the stat objects
     l2._rng_state = l2_rng

@@ -30,7 +30,6 @@ conclusions are measured exactly.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from heapq import heapify, heappop, heappush
 
@@ -518,18 +517,16 @@ class GpuSimulator:
 def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
              seed: int = 0, warmups: int = 1,
              record_per_cta: bool = False, tracer=None,
-             caches=None, fast: bool = None,
-             backend: str = None) -> KernelMetrics:
+             caches=None, fast: bool = None) -> KernelMetrics:
     """The single measurement entry point.
 
     Runs ``warmups`` warm-up launches with preserved cache contents,
     then measures — the paper's average-of-multiple-runs methodology
     (on real hardware the L2 survives between launches, so measured
     runs see a warm memory hierarchy).  ``warmups=0`` is a single cold
-    launch, the old ``run_baseline`` behaviour.  Each warm-up uses a
-    distinct scheduler seed (``seed + i``); the measurement uses
-    ``seed + warmups``, so a given ``(seed, warmups)`` pair is fully
-    deterministic.
+    launch.  Each warm-up uses a distinct scheduler seed
+    (``seed + i``); the measurement uses ``seed + warmups``, so a given
+    ``(seed, warmups)`` pair is fully deterministic.
 
     ``gpu`` may be a :class:`~repro.gpu.config.GpuConfig` or an
     already-constructed :class:`GpuSimulator` (to keep custom
@@ -543,16 +540,6 @@ def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
     models of :mod:`repro.gpu.refmodel`.  The two are bit-identical —
     the differential harness proves it on every CI run — so the flag
     only ever changes wall-clock time, never a result.
-
-    ``backend`` selects the execution backend (``"serial"`` /
-    ``"batched"``; default from ``REPRO_BACKEND``, see
-    :mod:`repro.gpu.backend`).  ``"batched"`` routes the call through
-    the struct-of-arrays batch core as a one-job batch — pooled cache
-    arenas and memoized chunk schedules then amortize across repeated
-    calls.  Backends are bit-identical; requests the batch core cannot
-    take (caller-held ``caches=``, the reference models, a customized
-    simulator subclass) silently run serially, which never changes a
-    result either.
     """
     if isinstance(gpu, GpuSimulator):
         simulator = gpu
@@ -567,19 +554,6 @@ def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
         simulator = GpuSimulator(gpu, fast=fast)
     if warmups < 0:
         raise ValueError(f"warmups must be >= 0, got {warmups}")
-    from repro.gpu.backend import BatchItem, resolve_backend
-    if (resolve_backend(backend) == "batched" and caches is None
-            and simulator.fast and type(simulator) is GpuSimulator
-            and simulator.interleave_chunk == INTERLEAVE_CHUNK
-            and simulator.reserved_exposure == RESERVED_EXPOSURE):
-        from repro.gpu.batched import run_batch
-        item = BatchItem(
-            plan=plan, seed=seed, warmups=warmups,
-            record_per_cta=record_per_cta, scheduler=simulator.scheduler,
-            hiding_cap=simulator.hiding_cap,
-            l1_enabled=simulator.l1_enabled,
-            join_stagger=simulator.join_stagger, tracer=tracer)
-        return run_batch(simulator.config, kernel, [item])[0]
     if caches is None:
         caches = simulator.fresh_caches()
     for i in range(warmups):
@@ -587,25 +561,3 @@ def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
     return simulator.run(kernel, plan, record_per_cta=record_per_cta,
                          seed=seed + warmups, caches=caches, tracer=tracer)
 
-
-def run_baseline(config: GpuConfig, kernel: KernelSpec,
-                 seed: int = 0) -> KernelMetrics:
-    """Deprecated: use ``simulate(config, kernel, warmups=0)``."""
-    warnings.warn(
-        "run_baseline() is deprecated; use "
-        "simulate(config, kernel, warmups=0)",
-        DeprecationWarning, stacklevel=2)
-    return simulate(config, kernel, baseline_plan(), seed=seed, warmups=0)
-
-
-def run_measured(simulator: GpuSimulator, kernel: KernelSpec,
-                 plan: ExecutionPlan = None, seed: int = 0,
-                 warmups: int = 1,
-                 record_per_cta: bool = False) -> KernelMetrics:
-    """Deprecated: use ``simulate(simulator, kernel, plan, ...)``."""
-    warnings.warn(
-        "run_measured() is deprecated; use simulate(simulator, kernel, "
-        "plan, seed=..., warmups=...)",
-        DeprecationWarning, stacklevel=2)
-    return simulate(simulator, kernel, plan, seed=seed, warmups=warmups,
-                    record_per_cta=record_per_cta)

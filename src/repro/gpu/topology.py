@@ -15,7 +15,7 @@ The model here has three deliberately small parts:
   an array is striped coarsely enough that one CTA cluster's slice of
   it usually lives on a single chiplet.  Ownership is pure address
   arithmetic — no per-page tables — which keeps the simulators' hot
-  loops branch-cheap and both backends trivially consistent.
+  loops branch-cheap and both cores trivially consistent.
 
 * ``chiplet_of_sm`` — SMs partition into contiguous groups (SM blocks
   map onto physical chiplet dies).  A placed plan's cluster index *is*

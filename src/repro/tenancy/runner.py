@@ -380,7 +380,7 @@ def run_mix(mix: TenantMix, gpu, *, seed: int = 0, warmups: int = 1,
     if n == 1:
         # Solo equivalence by construction: the baseline above *is*
         # the single-kernel simulator run, bit for bit, on whichever
-        # core and backend the process defaults select.
+        # core the process default selects.
         co_metrics = solo_metrics
     else:
         co_metrics = _run_cotenant(mix, config, solo_kernels, solo_plans,

@@ -14,9 +14,6 @@ Fidelity is a named rung of the measurement ladder
 model through ``estimate`` jobs and is *free* to the budget;
 ``reduced`` simulates at half the requested scale; ``full`` simulates
 at the requested scale and is the only leaderboard-eligible rung.
-Pre-1.4 callers passed raw scale-multiplier floats here — those still
-work through :func:`repro.fidelity.resolve_fidelity`'s deprecation
-shim.
 """
 
 from __future__ import annotations
@@ -27,11 +24,6 @@ from dataclasses import dataclass, field
 from repro.fidelity import FULL, Fidelity, resolve_fidelity
 from repro.tuner.objective import Objective
 from repro.tuner.space import Candidate, ConfigPoint, SearchSpace
-
-#: Deprecated pre-1.4 spelling of the leaderboard-eligible rung (a raw
-#: scale multiplier).  Kept so old imports keep working; passing it to
-#: ``evaluate(fidelity=...)`` warns and resolves to ``repro.fidelity.FULL``.
-FULL_FIDELITY = 1.0
 
 
 @dataclass
@@ -108,9 +100,6 @@ class Evaluator:
         if fresh:
             jobs = [self._job(point, rung) for point in fresh]
             self.spent += rung.budget_cost * len(fresh)
-            stats = getattr(self.runner, "stats", None)
-            batches_before = getattr(stats, "batches", 0)
-            grouped_before = getattr(stats, "batched_jobs", 0)
             results = self.runner.run(jobs)
             for point, metrics in zip(fresh, results):
                 self.seen[(point, rung.name)] = Candidate(
@@ -122,17 +111,10 @@ class Evaluator:
                     dram_transactions=int(metrics.dram_transactions),
                     fidelity=rung.name,
                     source=source)
-            batched = ""
-            if stats is not None and getattr(stats, "batches", 0):
-                batches = stats.batches - batches_before
-                grouped = stats.batched_jobs - grouped_before
-                if batches:
-                    batched = (f", {grouped} job(s) in {batches} "
-                               f"backend batch(es)")
             charge = "free" if not rung.budget_cost \
                 else f"{self.spent}/{self.budget} budget"
             self.note(f"evaluated {len(fresh)} candidate(s) at the "
-                      f"{rung.name} rung ({charge}{batched})")
+                      f"{rung.name} rung ({charge})")
         return [self.seen[(point, rung.name)] for point in wanted
                 if (point, rung.name) in self.seen]
 

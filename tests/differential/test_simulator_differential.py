@@ -3,9 +3,9 @@
 Random kernels (grids, block sizes, trace shapes, stream tags,
 scattered and single-lane accesses), random platforms (including
 shrunk-cache variants that force constant eviction), random schemes,
-schedulers, seeds and warm-up counts are simulated twice — once on
-the :mod:`repro.gpu.fastpath` core and once on the
-:mod:`repro.gpu.refmodel` oracle — and the resulting
+schedulers, seeds, warm-up counts, hiding caps and join staggers are
+simulated twice — once on the :mod:`repro.gpu.fastpath` core and once
+on the :mod:`repro.gpu.refmodel` oracle — and the resulting
 :class:`~repro.gpu.metrics.KernelMetrics` must be *bit-identical*,
 established via :func:`repro.gpu.metrics.canonical_metrics` (floats
 compared through ``repr``).
@@ -23,6 +23,7 @@ from dataclasses import replace
 import pytest
 
 from repro import api
+from repro.gpu import fastpath
 from repro.gpu.config import KB, PLATFORMS
 from repro.gpu.metrics import canonical_metrics, metrics_fingerprint
 from repro.gpu.scheduler import SCHEDULERS
@@ -30,6 +31,7 @@ from repro.gpu.simulator import GpuSimulator
 from repro.kernels.access import read, write
 from repro.kernels.kernel import (AddressSpace, ArrayRef, Dim3, KernelSpec,
                                   LocalityCategory)
+from repro.workloads.registry import workload
 
 CASES = int(os.environ.get("REPRO_FUZZ_CASES", "80"))
 
@@ -119,10 +121,11 @@ def random_kernel(rng, case):
 def assert_bit_identical(kernel, config, *, scheme=None, plan=None,
                          scheduler=None, seed=0, warmups=1,
                          record_per_cta=False, l1_enabled=True,
-                         label=""):
+                         hiding_cap=14.0, join_stagger=6, label=""):
     """Simulate on both cores and require bit-identical metrics."""
     sims = [GpuSimulator(config, scheduler=scheduler, fast=fast,
-                         l1_enabled=l1_enabled)
+                         l1_enabled=l1_enabled, hiding_cap=hiding_cap,
+                         join_stagger=join_stagger)
             for fast in (False, True)]
     got = [api.simulate(kernel, sim, scheme=scheme, plan=plan, seed=seed,
                         warmups=warmups, record_per_cta=record_per_cta)
@@ -153,8 +156,40 @@ def test_simulator_differential_fuzz():
             seed=rng.randrange(0, 1 << 16), warmups=rng.randrange(0, 3),
             record_per_cta=rng.random() < 0.3,
             l1_enabled=rng.random() > 0.15,
+            hiding_cap=rng.choice([14.0, 14.0, 8.0]),
+            join_stagger=rng.choice([6, 6, 3]),
             label=f"case {case}: {kernel.name} on {config.name} "
                   f"scheme={scheme or (plan and plan.scheme)}")
+
+
+def test_schedule_memo_keys_on_join_stagger():
+    """The fast core memoizes each wave's chunk schedule by trace
+    lengths, interleave chunk *and* join stagger.  Alternating the
+    stagger in one process must never replay the other stagger's
+    schedule: every run still matches the reference core."""
+    config = PLATFORMS["Tesla K40"]
+    kernel = workload("NN").kernel(scale=0.2, config=config)
+    for stagger in (6, 3, 6):
+        assert_bit_identical(kernel, config, scheme="CLU", seed=5,
+                             join_stagger=stagger,
+                             label=f"join_stagger={stagger}")
+
+
+def test_schedule_memo_is_bounded():
+    """The memo is cleared wholesale when full, so a long-lived
+    process holds at most ``_SCHEDULES_CAP`` schedules."""
+    saved = dict(fastpath._SCHEDULES)
+    try:
+        fastpath._SCHEDULES.clear()
+        fastpath._SCHEDULES.update(
+            {((i,), 2, 6): [] for i in range(fastpath._SCHEDULES_CAP)})
+        config = PLATFORMS["Tesla K40"]
+        kernel = workload("BS").kernel(scale=0.1, config=config)
+        api.simulate(kernel, config, warmups=0)
+        assert 0 < len(fastpath._SCHEDULES) < fastpath._SCHEDULES_CAP
+    finally:
+        fastpath._SCHEDULES.clear()
+        fastpath._SCHEDULES.update(saved)
 
 
 @pytest.mark.parametrize("scheme", ["CLU+TOT", "PFH+TOT"])

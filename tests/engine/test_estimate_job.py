@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import SimJob, estimate_job, execute, measure_job
-from repro.engine.executors import batch_key
 from repro.gpu.analytic import AnalyticEstimate
 
 
@@ -69,11 +68,3 @@ class TestExecution:
         by_plan = execute(estimate_job("NN", "Tesla K40", plan="clu",
                                        scale=0.3))
         assert by_plan.cycles == by_scheme.cycles
-
-
-class TestBatching:
-    def test_estimate_jobs_never_batch(self):
-        # Rung 0 answers are microseconds; fusing them into batched
-        # backend groups would only add latency.
-        job = estimate_job("NN", "Tesla K40", scheme="CLU", scale=0.3)
-        assert batch_key(job) is None

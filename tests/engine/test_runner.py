@@ -153,77 +153,3 @@ class TestCacheInvalidation:
         from repro.engine.cache import default_cache_root
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_root() == tmp_path / "elsewhere"
-
-
-class TestBatchedBackend:
-    """Grouped dispatch through the batched struct-of-arrays core."""
-
-    def batchable_jobs(self):
-        from repro.engine.executors import measure_job, simulate_job
-        return [
-            measure_job("NN", TESLA_K40, plan="baseline", scale=0.3),
-            measure_job("NN", TESLA_K40, plan="rd", scale=0.3),
-            measure_job("NN", TESLA_K40, plan="clu", scheme="CLU",
-                        scale=0.3),
-            simulate_job("NN", TESLA_K40, scheme="BSL", scale=0.3, seed=2),
-            simulate_job("ATX", TESLA_K40, scheme="RD", scale=0.3),
-        ]
-
-    def fingerprints(self, results):
-        from repro.gpu.metrics import metrics_fingerprint
-        return [metrics_fingerprint(m) for m in results]
-
-    def test_grouped_identical_to_serial(self):
-        jobs = self.batchable_jobs()
-        serial = SweepRunner(backend="serial").run(jobs)
-        grouped_runner = SweepRunner(backend="batched")
-        grouped = grouped_runner.run(jobs)
-        assert self.fingerprints(serial) == self.fingerprints(grouped)
-        # Four NN jobs fused into one group; the lone ATX job did not.
-        assert grouped_runner.stats.batches == 1
-        assert grouped_runner.stats.batched_jobs == 4
-
-    def test_grouped_identical_on_pool(self):
-        jobs = self.batchable_jobs()
-        serial = SweepRunner(backend="serial").run(jobs)
-        pooled = SweepRunner(backend="batched", jobs=2).run(jobs)
-        assert self.fingerprints(serial) == self.fingerprints(pooled)
-
-    def test_serial_backend_never_groups(self):
-        runner = SweepRunner(backend="serial")
-        runner.run(self.batchable_jobs())
-        assert runner.stats.batches == 0
-        assert runner.stats.batched_jobs == 0
-
-    def test_env_default_backend(self, monkeypatch):
-        from repro.gpu.backend import BACKEND_ENV
-        monkeypatch.setenv(BACKEND_ENV, "batched")
-        runner = SweepRunner()  # backend=None defers to the env
-        runner.run(self.batchable_jobs())
-        assert runner.stats.batches == 1
-
-    def test_unbatchable_kinds_stay_per_job(self):
-        from repro.engine.executors import batch_key, reuse_job, table2_job
-        assert batch_key(table2_job("NN")) is None
-        assert batch_key(reuse_job("NN")) is None
-        runner = SweepRunner(backend="batched")
-        runner.run([table2_job("NN"), table2_job("ATX")])
-        assert runner.stats.batches == 0
-
-    def test_profile_receives_batch_spans(self):
-        from repro.obs.profile import ProfileSession
-        session = ProfileSession("test")
-        runner = SweepRunner(backend="batched", profile=session)
-        jobs = self.batchable_jobs()
-        runner.run(jobs)
-        assert len(session.batch_spans) == 1
-        span = session.batch_spans[0]
-        assert span.jobs == 4 and span.duration > 0
-        assert len(session.job_spans) == len(jobs)
-
-    def test_progress_line_marks_batches(self, capsys):
-        runner = SweepRunner(backend="batched", progress=True)
-        jobs = self.batchable_jobs()[:4]  # one group, batch of 4
-        runner.run(jobs)
-        err = capsys.readouterr().err
-        assert "[batch 4]" in err

@@ -1,5 +1,4 @@
-"""The ``bound`` and ``cotenant`` job kinds: identity, execution,
-batching exclusion."""
+"""The ``bound`` and ``cotenant`` job kinds: identity and execution."""
 
 import pickle
 
@@ -7,7 +6,6 @@ import pytest
 
 from repro.analysis.bound import BoundReport
 from repro.engine import bound_job, cotenant_job, execute, measure_job
-from repro.engine.executors import batch_key
 from repro.tenancy import TenantSpec
 from repro.tenancy.runner import TenancyReport
 
@@ -104,7 +102,3 @@ class TestExecution:
         assert isinstance(result, TenancyReport)
         assert len(result.tenants) == 2
         assert result.violations() == []
-
-    def test_neither_kind_batches(self):
-        assert batch_key(bound_job("NN", GPU)) is None
-        assert batch_key(cotenant_job([{"workload": "NN"}], GPU)) is None

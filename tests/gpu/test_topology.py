@@ -74,7 +74,7 @@ class TestTrivialPackageBitIdentity:
     """A 1-chiplet package must be indistinguishable from the flat die
     — the property that keeps every golden fingerprint valid."""
 
-    def _flat_and_trivial(self, abbr, scheme, backend):
+    def _flat_and_trivial(self, abbr, scheme, fast):
         trivial = dataclasses.replace(GTX980,
                                       topology=ChipletTopology(chiplets=1))
         out = []
@@ -84,14 +84,15 @@ class TestTrivialPackageBitIdentity:
             if scheme != "BSL":
                 plan = api.cluster(kernel, scheme, gpu=config)
             out.append(simulate(config, kernel, plan, seed=0, warmups=1,
-                                backend=backend))
+                                fast=fast))
         return out
 
-    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast", "reference"])
     @pytest.mark.parametrize("abbr,scheme",
                              [("NN", "CLU"), ("HST", "CLU"), ("ATX", "BSL")])
-    def test_bit_identical_on_both_backends(self, abbr, scheme, backend):
-        flat, trivial = self._flat_and_trivial(abbr, scheme, backend)
+    def test_bit_identical_on_both_cores(self, abbr, scheme, fast):
+        flat, trivial = self._flat_and_trivial(abbr, scheme, fast)
         assert canonical_metrics(flat) == canonical_metrics(trivial)
 
     def test_flat_metrics_have_no_numa_section(self):
@@ -204,18 +205,17 @@ class TestLocalTrafficAccounting:
         assert chipleted.dram_transactions == flat.dram_transactions
 
 
-class TestBackendAgreement:
-    def test_serial_and_batched_agree_on_chiplet_platform(self):
+class TestCoreAgreement:
+    def test_fast_and_reference_agree_on_chiplet_platform(self):
         config = platform("GTX980x4").with_scaled_l2(16)
         kernel = workload("HST").kernel(scale=0.3, config=config)
         plan = api.cluster(kernel, "CLU", gpu=config,
                            placement="local-first")
-        serial = simulate(config, kernel, plan, seed=0, warmups=1,
-                          backend="serial")
-        batched = simulate(config, kernel, plan, seed=0, warmups=1,
-                           backend="batched")
-        assert canonical_metrics(serial) == canonical_metrics(batched)
-        assert serial.dram_remote_transactions > 0
+        fast = simulate(config, kernel, plan, seed=0, warmups=1, fast=True)
+        reference = simulate(config, kernel, plan, seed=0, warmups=1,
+                             fast=False)
+        assert canonical_metrics(fast) == canonical_metrics(reference)
+        assert fast.dram_remote_transactions > 0
 
 
 class TestPlacementEndToEnd:

@@ -1,19 +1,21 @@
-"""Batch occupancy: the worker-side grouping and the ``/metrics`` view.
+"""Batch occupancy: the worker's micro-batch loop and the ``/metrics`` view.
 
 The micro-batcher already counts batches and jobs; this file pins the
-two additions that ride the batched backend — the occupancy section of
-the metrics snapshot (``capacity``/``fill_ratio`` against the
-configured ``batch_max``) and the worker function's grouping of a
-micro-batch by :func:`~repro.engine.executors.batch_key`, including
-its per-job error isolation.
+occupancy section of the metrics snapshot (``capacity``/``fill_ratio``
+against the configured ``batch_max``) and the worker function that
+runs a micro-batch job by job, including its per-job error isolation
+and the heap freeze every process worker does at start.
 """
 
 from __future__ import annotations
 
+import gc
+
+from repro.engine.executors import execute
 from repro.engine.job import SimJob
-from repro.gpu.backend import BACKEND_ENV
 from repro.gpu.metrics import metrics_fingerprint
-from repro.service.core import _execute_batch
+from repro.service.config import ServiceConfig
+from repro.service.core import SimulationService, _execute_jobs
 from repro.service.metrics import ServiceMetrics
 
 
@@ -54,34 +56,43 @@ class TestMetricsSnapshot:
 
 
 class TestWorkerGrouping:
-    def test_grouped_outcomes_match_per_job(self, monkeypatch):
+    """A micro-batch is the worker's unit of dispatch; its outcomes
+    must still be exactly the per-job results, in submission order."""
+
+    def test_grouped_outcomes_match_per_job(self):
         batch = [simulate_job("NN", "BSL"), simulate_job("NN", "RD"),
                  simulate_job("ATX", "BSL")]
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        serial = _execute_batch(batch)
-        monkeypatch.setenv(BACKEND_ENV, "batched")
-        grouped = _execute_batch(batch)
+        grouped = _execute_jobs(batch)
         assert [o[0] for o in grouped] == ["ok"] * 3
-        for ref, got in zip(serial, grouped):
-            assert ref[0] == got[0] == "ok"
-            assert metrics_fingerprint(ref[1]) == metrics_fingerprint(got[1])
+        for job, got in zip(batch, grouped):
+            assert metrics_fingerprint(got[1]) == \
+                metrics_fingerprint(execute(job))
 
-    def test_outcomes_keep_submission_order(self, monkeypatch):
-        # Interleave two groups so index bookkeeping is exercised.
+    def test_outcomes_keep_submission_order(self):
+        # Interleave two kernels so a reordering would show.
         batch = [simulate_job("NN", "BSL"), simulate_job("ATX", "BSL"),
                  simulate_job("NN", "RD"), simulate_job("ATX", "RD")]
-        monkeypatch.setenv(BACKEND_ENV, "batched")
-        outcomes = _execute_batch(batch)
-        monkeypatch.delenv(BACKEND_ENV)
-        reference = _execute_batch(batch)
-        for ref, got in zip(reference, outcomes):
-            assert metrics_fingerprint(ref[1]) == metrics_fingerprint(got[1])
+        outcomes = _execute_jobs(batch)
+        for job, got in zip(batch, outcomes):
+            assert got[1].kernel_name == job.workload
+            assert metrics_fingerprint(got[1]) == \
+                metrics_fingerprint(execute(job))
 
-    def test_error_isolation_survives_grouping(self, monkeypatch):
+    def test_error_isolation_survives_grouping(self):
         bad = SimJob.make("simulate", workload="NO-SUCH-APP",
                           gpu="Tesla K40", scheme="BSL", scale=0.3,
                           seed=0, warmups=1)
         batch = [simulate_job("NN", "BSL"), bad, simulate_job("NN", "RD")]
-        monkeypatch.setenv(BACKEND_ENV, "batched")
-        outcomes = _execute_batch(batch)
+        outcomes = _execute_jobs(batch)
         assert [o[0] for o in outcomes] == ["ok", "error", "ok"]
+        assert "NO-SUCH-APP" in outcomes[1][1]
+
+    def test_process_workers_freeze_inherited_heap(self):
+        """Pool workers move the heap they inherit into the permanent
+        generation, so full collections skip it."""
+        service = SimulationService(ServiceConfig(workers=1, cache=False))
+        pool = service._make_pool()
+        try:
+            assert pool.submit(gc.get_freeze_count).result(timeout=60) > 0
+        finally:
+            pool.shutdown()

@@ -4,7 +4,7 @@ Every test talks HTTP to an :class:`~repro.service.embed.EmbeddedService`
 through the stdlib client.  Determinism tricks:
 
 * ``workers=0`` runs simulations on one in-process worker thread, so
-  ``repro.service.core._execute_batch`` is monkeypatchable — tests gate
+  ``repro.service.core._execute_jobs`` is monkeypatchable — tests gate
   it on a :class:`threading.Event` to freeze "a job is executing"
   states instead of sleeping;
 * the event loop stays responsive while a job is frozen (that is the
@@ -43,7 +43,7 @@ class GatedExecutor:
         self.release = threading.Event()
         self.calls = 0
         self.jobs_seen = 0
-        self._real = core._execute_batch
+        self._real = core._execute_jobs
 
     def __call__(self, batch):
         self.calls += 1
@@ -55,7 +55,7 @@ class GatedExecutor:
 @pytest.fixture
 def gate(monkeypatch):
     gated = GatedExecutor()
-    monkeypatch.setattr(core, "_execute_batch", gated)
+    monkeypatch.setattr(core, "_execute_jobs", gated)
     yield gated
     gated.release.set()  # never leave a worker thread frozen
 
@@ -252,7 +252,7 @@ class TestDeadlines:
 class TestWorkerCrashRecovery:
     def test_broken_pool_retries_once_then_succeeds(
             self, service_factory, monkeypatch):
-        real = core._execute_batch
+        real = core._execute_jobs
         state = {"calls": 0}
 
         def flaky(batch):
@@ -262,7 +262,7 @@ class TestWorkerCrashRecovery:
                 raise BrokenExecutor("worker died")
             return real(batch)
 
-        monkeypatch.setattr(core, "_execute_batch", flaky)
+        monkeypatch.setattr(core, "_execute_jobs", flaky)
         service = service_factory(workers=0, cache=False)
         client = service.client()
         served = client.simulate(full=True, **SIM)
@@ -278,7 +278,7 @@ class TestWorkerCrashRecovery:
             from concurrent.futures import BrokenExecutor
             raise BrokenExecutor("worker died again")
 
-        monkeypatch.setattr(core, "_execute_batch", always_broken)
+        monkeypatch.setattr(core, "_execute_jobs", always_broken)
         service = service_factory(workers=0, cache=False)
         client = service.client()
         with pytest.raises(ServiceError) as excinfo:

@@ -76,13 +76,13 @@ def test_16_concurrent_identical_requests_execute_once(monkeypatch):
     through the router collapse to exactly one execution cluster-wide,
     and all 16 responses carry the same key and result."""
     release = threading.Event()
-    real = core._execute_batch
+    real = core._execute_jobs
 
     def gated(batch):
         assert release.wait(timeout=30.0), "gate never released"
         return real(batch)
 
-    monkeypatch.setattr(core, "_execute_batch", gated)
+    monkeypatch.setattr(core, "_execute_jobs", gated)
     with EmbeddedCluster(shards=2, workers=0) as cluster:
         port = cluster.router.port
         answers: "list[tuple[int, bytes]]" = []

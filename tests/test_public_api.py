@@ -11,7 +11,18 @@ class TestPublicSurface:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "2.0.0"
+
+    def test_package_metadata_reads_the_one_version_source(self):
+        import tomllib
+        from pathlib import Path
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            meta = tomllib.load(fh)
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        dynamic = meta["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
 
     def test_version_line_names_both_versions(self):
         from repro.engine.job import ENGINE_VERSION

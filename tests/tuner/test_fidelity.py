@@ -1,8 +1,6 @@
 """The fidelity ladder: rung resolution, the analytic rung's zero
 cost, and the redesigned halving strategy's budget frugality."""
 
-import warnings
-
 import pytest
 
 from repro.engine import default_runner
@@ -39,17 +37,6 @@ class TestLadder:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             resolve_fidelity("quantum")
-
-    def test_legacy_float_multipliers_warn_and_map(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_fidelity(1.0) is FULL
-        with pytest.warns(DeprecationWarning):
-            assert resolve_fidelity(0.5) is REDUCED
-        with pytest.raises(ValueError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            resolve_fidelity(0.0)
-        with pytest.raises(TypeError):
-            resolve_fidelity(True)
 
     def test_rungs_are_frozen(self):
         with pytest.raises(Exception):
