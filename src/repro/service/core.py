@@ -40,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import hmac
+import math
 import os
 import sys
 import time
@@ -55,8 +56,8 @@ from repro.service.config import ServiceConfig
 from repro.service.httpio import (
     HttpError,
     HttpRequest,
-    read_request,
-    render_response,
+    JsonServer,
+    route,
 )
 from repro.service.metrics import ServiceMetrics
 
@@ -116,7 +117,7 @@ class _Flight:
         self.enqueued_at = 0.0
 
 
-class SimulationService:
+class SimulationService(JsonServer):
     """The serving daemon; construct, ``await start()``, let it run."""
 
     def __init__(self, config: ServiceConfig = None, *, profile=None):
@@ -243,63 +244,10 @@ class SimulationService:
     # HTTP plumbing
     # ------------------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._connections.add(writer)
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader, max_body=self.config.max_body_bytes)
-                except HttpError as exc:
-                    writer.write(render_response(exc.status, exc.payload(),
-                                                 keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                keep_alive = request.keep_alive and not self._draining
-                started = time.perf_counter()
-                self._active_requests += 1
-                try:
-                    status, payload, retry_after = await self._dispatch(
-                        request)
-                finally:
-                    self._active_requests -= 1
-                self.metrics.requests_total += 1
-                self.metrics.requests_by_endpoint[
-                    f"{request.method} {request.path}"] += 1
-                self.metrics.responses_by_status[status] += 1
-                self.metrics.observe_latency(time.perf_counter() - started)
-                writer.write(render_response(status, payload,
-                                             keep_alive=keep_alive,
-                                             retry_after_s=retry_after))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer vanished; nothing to answer
-        finally:
-            self._conn_tasks.discard(task)
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     async def _dispatch(self, request: HttpRequest):
         """Route one request; returns (status, payload, retry_after_s)."""
         try:
-            handler = _ROUTES.get((request.method, request.path))
-            if handler is None:
-                if any(path == request.path for _, path in _ROUTES):
-                    raise HttpError(405, "method_not_allowed",
-                                    f"{request.method} is not supported "
-                                    f"on {request.path}")
-                raise HttpError(404, "not_found",
-                                f"no such endpoint {request.path!r}")
+            handler = route(_ROUTES, request)
             payload = await handler(self, request)
             return 200, payload, None
         except HttpError as exc:
@@ -343,29 +291,39 @@ class SimulationService:
             result_cache=self.cache,
             batch_max=self.config.batch_max)
 
-    async def _post_simulate(self, request: HttpRequest) -> dict:
+    def _build(self, request: HttpRequest):
+        """Validate a ``/v1/<kind>`` body against its ``jobs.KINDS``
+        entry; returns ``(kind, job, deadline_s)``."""
+        kind = jobmod.KINDS[request.path[len("/v1/"):]]
         payload = request.json()
-        job = jobmod.build_simulate_job(payload)
-        deadline = self._deadline_from(payload)
+        job = kind.build(payload,
+                         max_tune_budget=self.config.max_tune_budget)
+        return kind, job, self._deadline_from(payload)
+
+    async def _post_pool(self, request: HttpRequest) -> dict:
+        """A pool-lane kind: dedup, cache, admission, micro-batch, pool.
+
+        For ``tune`` the whole search is one job, so identical tunes
+        collapse in the single-flight table and, inside the worker,
+        every candidate evaluation hits the engine's shared cache.
+        """
+        kind, job, deadline = self._build(request)
         value, source = await self.submit(job, deadline)
         return {"key": job.key, "source": source,
-                "result": jobmod.jsonable(value)}
+                kind.field: jobmod.jsonable(value)}
 
-    async def _post_estimate(self, request: HttpRequest) -> dict:
-        """Rung-0 fast path: the closed-form analytic model, inline.
+    async def _post_inline(self, request: HttpRequest) -> dict:
+        """An inline-lane kind (``estimate``, ``bound``): cache, else
+        execute on a loop-adjacent thread.
 
-        Same request/response envelope as ``/v1/simulate`` (same
-        validation, same ``{key, source, result}`` shape, same error
-        payloads), but the work never touches the admission queue, the
-        micro-batcher or the process pool — the model is cheap enough
-        to run on a loop-adjacent thread, so this endpoint answers
-        even while the pool is saturated with simulations.  Visible in
-        ``/metrics`` under ``estimates`` (the ``batches`` counter does
-        not move).
+        Same ``{key, source, result}`` envelope and error payloads as
+        the pool lane, but the work never touches the admission queue,
+        the micro-batcher or the process pool, so these endpoints keep
+        answering while the pool is saturated with simulations.  Each
+        kind has its own ``/metrics`` section (``estimates``,
+        ``bounds``); the ``batches`` counter does not move.
         """
-        payload = request.json()
-        job = jobmod.build_estimate_job(payload)
-        self._deadline_from(payload)  # validate the field for parity
+        kind, job, _ = self._build(request)  # deadline checked for parity
         if self._draining:
             raise HttpError(503, "draining",
                             "service is draining and not admitting work")
@@ -381,8 +339,8 @@ class SimulationService:
                 value = await asyncio.to_thread(execute, job)
             except Exception as exc:
                 self.metrics.job_errors += 1
-                self.metrics.observe_estimate(
-                    time.perf_counter() - started, cached=False)
+                self.metrics.observe_inline(
+                    kind.name, time.perf_counter() - started, cached=False)
                 raise HttpError(
                     500, "job_failed",
                     f"job {job.label()} failed: "
@@ -395,103 +353,16 @@ class SimulationService:
                         self.cache.put(job, value)
                     except OSError:
                         pass  # a full disk must not fail the response
-        self.metrics.observe_estimate(time.perf_counter() - started,
-                                      cached=hit)
+        self.metrics.observe_inline(kind.name, time.perf_counter() - started,
+                                    cached=hit)
         return {"key": job.key, "source": "cache" if hit else "executed",
-                "result": jobmod.jsonable(value)}
-
-    async def _post_bound(self, request: HttpRequest) -> dict:
-        """Oracle fast path: the reuse-graph hit ceiling, inline.
-
-        Mirrors ``/v1/estimate``'s pool-free discipline — same
-        ``{key, source, result}`` envelope, same cache, but the work
-        runs on a loop-adjacent thread and never touches the admission
-        queue, the micro-batcher or the process pool.  The bound is a
-        single linear pass over the compiled access streams, so the
-        endpoint keeps answering while the pool is saturated with
-        simulations.  Visible in ``/metrics`` under ``bounds``.
-        """
-        payload = request.json()
-        job = jobmod.build_bound_job(payload)
-        self._deadline_from(payload)  # validate the field for parity
-        if self._draining:
-            raise HttpError(503, "draining",
-                            "service is draining and not admitting work")
-        started = time.perf_counter()
-        value, hit = None, False
-        if self.cache is not None:
-            with self.metrics.timer.phase("cache_lookup"):
-                cached = self.cache.get(job)
-            if not ResultCache.is_miss(cached):
-                value, hit = cached, True
-        if not hit:
-            try:
-                value = await asyncio.to_thread(execute, job)
-            except Exception as exc:
-                self.metrics.job_errors += 1
-                self.metrics.observe_bound(
-                    time.perf_counter() - started, cached=False)
-                raise HttpError(
-                    500, "job_failed",
-                    f"job {job.label()} failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    detail={"job": job.label()}) from None
-            self.metrics.executed += 1
-            if self.cache is not None:
-                with self.metrics.timer.phase("cache_store"):
-                    try:
-                        self.cache.put(job, value)
-                    except OSError:
-                        pass  # a full disk must not fail the response
-        self.metrics.observe_bound(time.perf_counter() - started,
-                                   cached=hit)
-        return {"key": job.key, "source": "cache" if hit else "executed",
-                "result": jobmod.jsonable(value)}
-
-    async def _post_cotenant(self, request: HttpRequest) -> dict:
-        """One multi-tenant mix measurement; rides the full pipeline.
-
-        A co-tenant run costs several solo simulations plus the
-        co-dispatch itself, so unlike ``/v1/bound`` it goes through
-        single-flight dedup, the cache, admission and the pool exactly
-        like ``/v1/simulate``.
-        """
-        payload = request.json()
-        job = jobmod.build_cotenant_job(payload)
-        deadline = self._deadline_from(payload)
-        value, source = await self.submit(job, deadline)
-        return {"key": job.key, "source": source,
-                "result": jobmod.jsonable(value)}
-
-    async def _post_cluster(self, request: HttpRequest) -> dict:
-        payload = request.json()
-        job = jobmod.build_cluster_job(payload)
-        deadline = self._deadline_from(payload)
-        plan, source = await self.submit(job, deadline)
-        return {"key": job.key, "source": source, "plan": plan}
-
-    async def _post_tune(self, request: HttpRequest) -> dict:
-        """One tuning search; rides the same pipeline as ``simulate``.
-
-        The whole search is one ``tune`` job: identical requests
-        collapse in the single-flight table, finished leaderboards
-        persist in the result cache, and inside the worker every
-        candidate evaluation hits the engine's shared cache — so a
-        tune re-requested with a bigger budget re-simulates only the
-        configurations it has not seen.
-        """
-        payload = request.json()
-        job = jobmod.build_tune_job(
-            payload, max_budget=self.config.max_tune_budget)
-        deadline = self._deadline_from(payload)
-        value, source = await self.submit(job, deadline)
-        return {"key": job.key, "source": source,
-                "result": jobmod.jsonable(value)}
+                kind.field: jobmod.jsonable(value)}
 
     async def _post_sweep(self, request: HttpRequest) -> dict:
         payload = request.json()
         batch = jobmod.build_sweep_jobs(
-            payload, max_jobs=self.config.max_sweep_jobs)
+            payload, max_jobs=self.config.max_sweep_jobs,
+            max_tune_budget=self.config.max_tune_budget)
         deadline = self._deadline_from(payload)
         # Admission-check the whole batch up front so a sweep is all
         # or nothing — no half-admitted batches under pressure.  Jobs
@@ -618,7 +489,7 @@ class SimulationService:
         if value is None:
             return self.config.deadline_s
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or value <= 0:
+                or not 0 < value < math.inf:
             raise HttpError(400, "bad_request",
                             f"invalid 'deadline_s': expected a positive "
                             f"number, got {value!r}")
@@ -801,18 +672,18 @@ class SimulationService:
             flight.future.exception()
 
 
+#: How each lane of :data:`~repro.service.jobs.KINDS` is answered.
+_LANES = {"pool": SimulationService._post_pool,
+          "inline": SimulationService._post_inline}
+
 _ROUTES = {
     ("GET", "/"): SimulationService._get_index,
     ("GET", "/healthz"): SimulationService._get_healthz,
     ("GET", "/readyz"): SimulationService._get_readyz,
     ("GET", "/metrics"): SimulationService._get_metrics,
-    ("POST", "/v1/simulate"): SimulationService._post_simulate,
-    ("POST", "/v1/estimate"): SimulationService._post_estimate,
-    ("POST", "/v1/bound"): SimulationService._post_bound,
-    ("POST", "/v1/cotenant"): SimulationService._post_cotenant,
-    ("POST", "/v1/cluster"): SimulationService._post_cluster,
+    **{("POST", f"/v1/{name}"): _LANES[kind.lane]
+       for name, kind in jobmod.KINDS.items()},
     ("POST", "/v1/sweep"): SimulationService._post_sweep,
-    ("POST", "/v1/tune"): SimulationService._post_tune,
     ("GET", "/v1/cache/manifest"): SimulationService._get_cache_manifest,
     ("GET", "/v1/cache/entry"): SimulationService._get_cache_entry,
     ("POST", "/v1/cache/push"): SimulationService._post_cache_push,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, urlsplit
 
@@ -81,14 +82,18 @@ class HttpRequest:
         return self.headers.get("connection", "keep-alive").lower() != "close"
 
     def json(self):
-        """Parse the body as JSON; empty bodies parse as ``{}``."""
+        """Parse the body as a JSON object; empty bodies parse as ``{}``."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body.decode("utf-8"))
+            document = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HttpError(400, "bad_json",
                             f"request body is not valid JSON: {exc}") from None
+        if not isinstance(document, dict):
+            raise HttpError(400, "bad_json", "request body must be a JSON "
+                            f"object, got {type(document).__name__}")
+        return document
 
 
 async def read_request(reader: asyncio.StreamReader, *,
@@ -218,3 +223,73 @@ def render_response(status: int, payload, *, keep_alive: bool = True,
         lines.append(f"Retry-After: {max(1, round(retry_after_s))}")
     head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
     return head + body
+
+
+def route(routes: dict, request: HttpRequest):
+    """The handler ``routes`` maps a request's method and path to;
+    405 for a known path under another method, 404 otherwise."""
+    handler = routes.get((request.method, request.path))
+    if handler is None:
+        if any(path == request.path for _, path in routes):
+            raise HttpError(405, "method_not_allowed",
+                            f"{request.method} is not supported "
+                            f"on {request.path}")
+        raise HttpError(404, "not_found",
+                        f"no such endpoint {request.path!r}")
+    return handler
+
+
+class JsonServer:
+    """The keep-alive connection loop the service and the router share.
+
+    A subclass provides ``config.max_body_bytes``, the request counters
+    on ``metrics``, the ``_draining`` flag, the ``_active_requests``
+    count, the ``_connections``/``_conn_tasks`` sets, and
+    ``_dispatch(request) -> (status, payload, retry_after_s)``.
+    """
+
+    async def _handle_connection(self, reader, writer) -> None:
+        self._connections.add(writer)
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
+        try:
+            while True:
+                try:
+                    request = await read_request(
+                        reader, max_body=self.config.max_body_bytes)
+                except HttpError as exc:
+                    writer.write(render_response(exc.status, exc.payload(),
+                                                 keep_alive=False))
+                    await writer.drain()
+                    break
+                if request is None:
+                    break
+                keep_alive = request.keep_alive and not self._draining
+                started = time.perf_counter()
+                self._active_requests += 1
+                try:
+                    status, payload, retry_after = await self._dispatch(
+                        request)
+                finally:
+                    self._active_requests -= 1
+                self.metrics.requests_total += 1
+                self.metrics.requests_by_endpoint[
+                    f"{request.method} {request.path}"] += 1
+                self.metrics.responses_by_status[status] += 1
+                self.metrics.observe_latency(time.perf_counter() - started)
+                writer.write(render_response(status, payload,
+                                             keep_alive=keep_alive,
+                                             retry_after_s=retry_after))
+                await writer.drain()
+                if not keep_alive:
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass  # peer vanished; nothing to answer
+        finally:
+            self._conn_tasks.discard(task)
+            self._connections.discard(writer)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass

@@ -7,7 +7,8 @@ known names, never a traceback from deep inside a worker — and the
 resulting :class:`~repro.engine.job.SimJob` content hash is what the
 single-flight table and the persistent cache key on, so two requests
 that mean the same computation collapse no matter how their JSON was
-spelled (key order, int-vs-float scale, defaulted fields).
+spelled (key order, int-vs-float scale, defaulted fields).  The served
+kinds and how each is answered are one table, :data:`KINDS`.
 
 The reverse direction lives here too: :func:`jsonable` renders any
 executor result into plain JSON, with ``KernelMetrics`` going through
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
+from typing import Callable
 
 from repro.engine.executors import (
     EXECUTORS,
@@ -31,7 +34,9 @@ from repro.engine.executors import (
 )
 from repro.engine.job import SimJob
 from repro.gpu.metrics import KernelMetrics, canonical_metrics
+from repro.service.config import ServiceConfig
 from repro.service.httpio import HttpError
+from repro.workloads.base import MAX_SCALE
 
 
 def _bad(field: str, message: str) -> HttpError:
@@ -58,7 +63,12 @@ def _number(payload: dict, field: str, default, *, cast=float,
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _bad(field, f"expected a number, got {type(value).__name__}")
-    value = cast(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _bad(field, f"expected a finite number, got {value}")
+    try:
+        value = cast(value)
+    except OverflowError:
+        raise _bad(field, "number out of range") from None
     if minimum is not None and value < minimum:
         raise _bad(field, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -113,40 +123,44 @@ def _check_placement(name: "str | None") -> "str | None":
     return name
 
 
+def _scale(payload: dict) -> float:
+    return _number(payload, "scale", 1.0, minimum=1e-6, maximum=MAX_SCALE)
+
+
+def _seed(payload: dict) -> int:
+    return _number(payload, "seed", 0, cast=int, minimum=0)
+
+
+def _warmups(payload: dict) -> int:
+    return _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
+
+
+def _scheme_request(payload: dict) -> dict:
+    """The fields ``/v1/simulate`` and ``/v1/estimate`` share, read by
+    one set of checks so both reject malformed input identically."""
+    return {
+        "workload": _check_workload(_string(payload, "workload",
+                                            required=True)),
+        "gpu": _check_gpu(_string(payload, "gpu", required=True)),
+        "scheme": _check_scheme(_string(payload, "scheme"), required=False),
+        "scale": _scale(payload),
+        "seed": _seed(payload),
+        "warmups": _warmups(payload),
+        "topology": _check_topology(_string(payload, "topology")),
+        "placement": _check_placement(_string(payload, "placement")),
+    }
+
+
 def build_simulate_job(payload: dict) -> SimJob:
     """``POST /v1/simulate`` body -> a canonical ``simulate`` job."""
-    workload = _check_workload(_string(payload, "workload", required=True))
-    gpu = _check_gpu(_string(payload, "gpu", required=True))
-    scheme = _check_scheme(_string(payload, "scheme"), required=False)
-    scale = _number(payload, "scale", 1.0, minimum=1e-6, maximum=16.0)
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
-    warmups = _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
-    topology = _check_topology(_string(payload, "topology"))
-    placement = _check_placement(_string(payload, "placement"))
-    return simulate_job(workload, gpu, scheme=scheme, scale=scale,
-                        seed=seed, warmups=warmups, topology=topology,
-                        placement=placement)
+    return simulate_job(**_scheme_request(payload))
 
 
 def build_estimate_job(payload: dict) -> SimJob:
-    """``POST /v1/estimate`` body -> a canonical ``estimate`` job.
-
-    Field-for-field the same request shape as ``/v1/simulate`` —
-    workload, gpu, optional scheme, scale, seed, warmups — validated
-    by the same helpers, so the two endpoints reject malformed input
-    with identical error envelopes.
-    """
-    workload = _check_workload(_string(payload, "workload", required=True))
-    gpu = _check_gpu(_string(payload, "gpu", required=True))
-    scheme = _check_scheme(_string(payload, "scheme"), required=False)
-    scale = _number(payload, "scale", 1.0, minimum=1e-6, maximum=16.0)
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
-    warmups = _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
-    topology = _check_topology(_string(payload, "topology"))
-    placement = _check_placement(_string(payload, "placement"))
-    return estimate_job(workload, gpu, scheme=scheme, scale=scale,
-                        seed=seed, warmups=warmups, topology=topology,
-                        placement=placement)
+    """``POST /v1/estimate`` body -> a canonical ``estimate`` job
+    (the ``/v1/simulate`` request shape, answered by the analytic
+    model)."""
+    return estimate_job(**_scheme_request(payload))
 
 
 def build_bound_job(payload: dict) -> SimJob:
@@ -159,7 +173,7 @@ def build_bound_job(payload: dict) -> SimJob:
     """
     workload = _check_workload(_string(payload, "workload", required=True))
     gpu = _check_gpu(_string(payload, "gpu", required=True))
-    scale = _number(payload, "scale", 1.0, minimum=1e-6, maximum=16.0)
+    scale = _scale(payload)
     l2_divisor = _number(payload, "l2_divisor", 1, cast=int, minimum=1)
     topology = _check_topology(_string(payload, "topology"))
     return bound_job(workload, gpu, scale=scale, l2_divisor=l2_divisor,
@@ -174,8 +188,8 @@ def build_cotenant_job(payload: dict) -> SimJob:
     if policy not in POLICIES:
         raise _bad("policy", f"unknown policy {policy!r}; "
                              f"known: {POLICIES}")
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
-    warmups = _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
+    seed = _seed(payload)
+    warmups = _warmups(payload)
     entries = payload.get("tenants")
     if not isinstance(entries, list) or not entries:
         raise _bad("tenants", "expected a non-empty list of tenant "
@@ -193,8 +207,8 @@ def build_cotenant_job(payload: dict) -> SimJob:
         if scheme not in TENANT_SCHEMES:
             raise _bad(field, f"unknown tenant scheme {scheme!r}; "
                               f"known: {TENANT_SCHEMES}")
-        _number(entry, "scale", 1.0, minimum=1e-6, maximum=16.0)
-        _number(entry, "seed", 0, cast=int, minimum=0)
+        _scale(entry)
+        _seed(entry)
         _number(entry, "active_agents", None, cast=int, minimum=1)
         bypass = entry.get("bypass", False)
         if not isinstance(bypass, bool):
@@ -219,7 +233,7 @@ def build_cluster_job(payload: dict) -> SimJob:
         raise _bad("direction", f"expected 'X-P' or 'Y-P', got {direction!r}")
     active_agents = _number(payload, "active_agents", None, cast=int,
                             minimum=1)
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
+    seed = _seed(payload)
     topology = _check_topology(_string(payload, "topology"))
     placement = _check_placement(_string(payload, "placement"))
     return cluster_job(workload, gpu, scheme=scheme, direction=direction,
@@ -250,19 +264,59 @@ def build_tune_job(payload: dict, *, max_budget: int) -> SimJob:
                                f"known: {sorted(STRATEGIES)}")
     budget = _number(payload, "budget", 24, cast=int, minimum=1,
                      maximum=max_budget)
-    scale = _number(payload, "scale", 1.0, minimum=1e-6, maximum=16.0)
-    seed = _number(payload, "seed", 0, cast=int, minimum=0)
-    warmups = _number(payload, "warmups", 1, cast=int, minimum=0, maximum=8)
     return tune_job(workload, gpu, objective=objective, strategy=strategy,
-                    budget=budget, scale=scale, seed=seed, warmups=warmups)
+                    budget=budget, scale=_scale(payload),
+                    seed=_seed(payload), warmups=_warmups(payload))
 
 
-def build_sweep_jobs(payload: dict, *, max_jobs: int) -> "list[SimJob]":
+@dataclasses.dataclass(frozen=True)
+class JobKind:
+    """One served job kind, ``POST /v1/<name>``.
+
+    ``lane`` says how a request is answered: ``"pool"`` kinds ride the
+    full pipeline (single-flight dedup, cache, admission, micro-batch,
+    worker pool); ``"inline"`` kinds are cheap enough to answer on a
+    loop-adjacent thread (cache, then execute) and never touch the
+    queue, so they keep answering while the pool is saturated, and
+    each gets its own ``/metrics`` funnel.  ``field`` names the
+    response envelope member carrying the value.
+    """
+
+    name: str
+    builder: Callable[..., SimJob]
+    lane: str = "pool"
+    field: str = "result"
+    capped: bool = False  # the builder takes the tune budget cap
+
+    def build(self, payload: dict, *, max_tune_budget: int) -> SimJob:
+        if self.capped:
+            return self.builder(payload, max_budget=max_tune_budget)
+        return self.builder(payload)
+
+
+#: Every served job kind.  The service's and the router's ``/v1/<kind>``
+#: routes, sweep-entry validation and the inline-lane ``/metrics``
+#: sections are all derived from this table.
+KINDS = {kind.name: kind for kind in (
+    JobKind("simulate", build_simulate_job),
+    JobKind("estimate", build_estimate_job, lane="inline"),
+    JobKind("bound", build_bound_job, lane="inline"),
+    JobKind("cotenant", build_cotenant_job),
+    JobKind("cluster", build_cluster_job, field="plan"),
+    JobKind("tune", build_tune_job, capped=True),
+)}
+
+
+def build_sweep_jobs(payload: dict, *, max_jobs: int,
+                     max_tune_budget: int = ServiceConfig.max_tune_budget
+                     ) -> "list[SimJob]":
     """``POST /v1/sweep`` body -> the canonical job list.
 
-    Each entry is either a full engine descriptor (``kind`` plus the
-    shared fields and ``extras``) or, for the two facade kinds, the
-    same shape the dedicated endpoints take.
+    An entry of a served kind (:data:`KINDS`) goes through that kind's
+    own builder, under the same limits as its endpoint; its ``extras``,
+    if any, are read as further request fields.  Any other engine kind
+    takes the full descriptor shape (``kind`` plus the shared fields
+    and ``extras``).
     """
     entries = payload.get("jobs")
     if not isinstance(entries, list) or not entries:
@@ -276,7 +330,7 @@ def build_sweep_jobs(payload: dict, *, max_jobs: int) -> "list[SimJob]":
         if not isinstance(entry, dict):
             raise _bad(f"jobs[{index}]", "expected an object")
         try:
-            jobs.append(_build_one(entry))
+            jobs.append(_build_one(entry, max_tune_budget))
         except HttpError as exc:
             raise HttpError(exc.status, exc.code,
                             f"jobs[{index}]: {exc.message}",
@@ -284,18 +338,11 @@ def build_sweep_jobs(payload: dict, *, max_jobs: int) -> "list[SimJob]":
     return jobs
 
 
-def _build_one(entry: dict) -> SimJob:
+def _build_one(entry: dict, max_tune_budget: int) -> SimJob:
     kind = _string(entry, "kind", default="simulate")
-    if kind == "simulate":
-        return build_simulate_job(entry)
-    if kind == "estimate":
-        return build_estimate_job(entry)
-    if kind == "cluster":
-        return build_cluster_job(entry)
-    if kind == "bound":
-        return build_bound_job(entry)
-    if kind == "cotenant":
-        return build_cotenant_job(entry)
+    if kind in KINDS:
+        return KINDS[kind].build({**_extras(entry), **entry},
+                                 max_tune_budget=max_tune_budget)
     if kind not in EXECUTORS:
         raise _bad("kind", f"unknown job kind {kind!r}; "
                            f"known: {sorted(EXECUTORS)}")
@@ -305,20 +352,21 @@ def _build_one(entry: dict) -> SimJob:
     gpu = _string(entry, "gpu")
     if gpu is not None:
         _check_gpu(gpu)
-    extras = entry.get("extras", {})
-    if not isinstance(extras, dict):
-        raise _bad("extras", "expected an object")
+    extras = _extras(entry)
     try:
         return SimJob.make(
             kind, workload=workload, gpu=gpu,
-            scheme=_string(entry, "scheme"),
-            scale=_number(entry, "scale", 1.0, minimum=1e-6, maximum=16.0),
-            seed=_number(entry, "seed", 0, cast=int, minimum=0),
-            warmups=_number(entry, "warmups", 1, cast=int, minimum=0,
-                            maximum=8),
-            **extras)
+            scheme=_string(entry, "scheme"), scale=_scale(entry),
+            seed=_seed(entry), warmups=_warmups(entry), **extras)
     except TypeError as exc:
         raise _bad("extras", str(exc)) from None
+
+
+def _extras(entry: dict) -> dict:
+    extras = entry.get("extras", {})
+    if not isinstance(extras, dict):
+        raise _bad("extras", "expected an object")
+    return extras
 
 
 def jsonable(value):

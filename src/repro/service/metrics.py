@@ -17,6 +17,7 @@ import time
 from collections import Counter, deque
 
 from repro.obs.timers import PhaseTimer
+from repro.service.jobs import KINDS
 
 #: Latency reservoir size: enough for stable p99 under the smoke load,
 #: bounded so a week of traffic cannot grow it.
@@ -54,16 +55,11 @@ class ServiceMetrics:
         self.queue_peak = 0
         self.batches = 0
         self.batch_jobs = 0
-        # The rung-0 fast path (POST /v1/estimate) — answered inline,
-        # never through the queue/batcher/pool, so counted separately.
-        self.estimates = 0
-        self.estimate_cache_hits = 0
-        self.estimate_seconds = 0.0
-        # The oracle-bound fast path (POST /v1/bound) — same inline
-        # discipline as estimates, its own funnel.
-        self.bounds = 0
-        self.bound_cache_hits = 0
-        self.bound_seconds = 0.0
+        # One funnel per inline-lane kind (POST /v1/estimate, /v1/bound):
+        # answered without the queue/batcher/pool, so counted apart.
+        self.inline = {name: {"count": 0, "cache_hits": 0, "seconds": 0.0}
+                       for name, kind in KINDS.items()
+                       if kind.lane == "inline"}
         # Cache-slice transfers (shard warmup / hot-key replication).
         self.cache_exports = 0
         self.cache_imports = 0
@@ -77,17 +73,12 @@ class ServiceMetrics:
     def observe_latency(self, seconds: float) -> None:
         self._latencies.append(seconds)
 
-    def observe_estimate(self, seconds: float, *, cached: bool) -> None:
-        self.estimates += 1
-        if cached:
-            self.estimate_cache_hits += 1
-        self.estimate_seconds += seconds
-
-    def observe_bound(self, seconds: float, *, cached: bool) -> None:
-        self.bounds += 1
-        if cached:
-            self.bound_cache_hits += 1
-        self.bound_seconds += seconds
+    def observe_inline(self, kind: str, seconds: float, *,
+                       cached: bool) -> None:
+        funnel = self.inline[kind]
+        funnel["count"] += 1
+        funnel["cache_hits"] += cached
+        funnel["seconds"] += seconds
 
     def latency_summary(self) -> dict:
         values = sorted(self._latencies)
@@ -151,20 +142,13 @@ class ServiceMetrics:
                 "fill_ratio": (self.batch_jobs / (self.batches * batch_max)
                                if self.batches and batch_max else 0.0),
             },
-            "estimates": {
-                "count": self.estimates,
-                "cache_hits": self.estimate_cache_hits,
-                "mean_latency_ms": (round(self.estimate_seconds
-                                          / self.estimates * 1e3, 3)
-                                    if self.estimates else 0.0),
-            },
-            "bounds": {
-                "count": self.bounds,
-                "cache_hits": self.bound_cache_hits,
-                "mean_latency_ms": (round(self.bound_seconds
-                                          / self.bounds * 1e3, 3)
-                                    if self.bounds else 0.0),
-            },
+            **{f"{kind}s": {
+                "count": funnel["count"],
+                "cache_hits": funnel["cache_hits"],
+                "mean_latency_ms": (round(funnel["seconds"]
+                                          / funnel["count"] * 1e3, 3)
+                                    if funnel["count"] else 0.0),
+            } for kind, funnel in self.inline.items()},
             "latency": self.latency_summary(),
             "phase_seconds": {name: round(seconds, 6) for name, seconds
                               in self.timer.snapshot().items()},

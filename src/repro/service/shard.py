@@ -57,15 +57,20 @@ from repro.service.config import RouterConfig
 from repro.service.httpio import (
     HttpError,
     HttpRequest,
-    read_request,
+    JsonServer,
     read_response,
-    render_response,
+    route,
 )
 from repro.service.metrics import RESERVOIR, percentile
 from repro.service.ring import HashRing
 
 #: Upper bound on jobs per routed sweep (mirrors the shard default).
 MAX_SWEEP_JOBS = 256
+
+#: Tune budget bound the router validates against.  Budget caps are a
+#: per-shard policy (``--max-tune-budget``); the router only needs the
+#: canonical content hash, and the owning shard enforces its own cap.
+ROUTER_TUNE_BUDGET = 1_000_000
 
 #: Entries fetched/pushed per warmup round trip.
 WARMUP_CHUNK = 32
@@ -303,7 +308,7 @@ class RouterMetrics:
         }
 
 
-class ShardRouter:
+class ShardRouter(JsonServer):
     """The routing daemon; construct, ``await start()``, let it run."""
 
     def __init__(self, config: RouterConfig = None, shards=(), *,
@@ -398,62 +403,9 @@ class ShardRouter:
     # HTTP plumbing (same dialect the shards speak)
     # ------------------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._connections.add(writer)
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader, max_body=self.config.max_body_bytes)
-                except HttpError as exc:
-                    writer.write(render_response(exc.status, exc.payload(),
-                                                 keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                keep_alive = request.keep_alive and not self._draining
-                started = time.perf_counter()
-                self._active_requests += 1
-                try:
-                    status, payload, retry_after = await self._dispatch(
-                        request)
-                finally:
-                    self._active_requests -= 1
-                self.metrics.requests_total += 1
-                self.metrics.requests_by_endpoint[
-                    f"{request.method} {request.path}"] += 1
-                self.metrics.responses_by_status[status] += 1
-                self.metrics.observe_latency(time.perf_counter() - started)
-                writer.write(render_response(status, payload,
-                                             keep_alive=keep_alive,
-                                             retry_after_s=retry_after))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer vanished; nothing to answer
-        finally:
-            self._conn_tasks.discard(task)
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     async def _dispatch(self, request: HttpRequest):
         try:
-            handler = _ROUTES.get((request.method, request.path))
-            if handler is None:
-                if any(path == request.path for _, path in _ROUTES):
-                    raise HttpError(405, "method_not_allowed",
-                                    f"{request.method} is not supported "
-                                    f"on {request.path}")
-                raise HttpError(404, "not_found",
-                                f"no such endpoint {request.path!r}")
+            handler = route(_ROUTES, request)
             result = await handler(self, request)
             if isinstance(result, Relay):
                 return result.status, result.body, result.retry_after_s
@@ -648,9 +600,10 @@ class ShardRouter:
             detail={"replicas": owners, "failures": failures[:4]})
 
     async def _post_forward(self, request: HttpRequest) -> Relay:
-        """simulate/estimate/cluster/tune: canonicalize, route, relay."""
-        payload = request.json()
-        job = _BUILDERS[request.path](payload)
+        """Any ``/v1/<kind>`` of ``jobs.KINDS``: canonicalize, route,
+        relay."""
+        kind = jobmod.KINDS[request.path[len("/v1/"):]]
+        job = kind.build(request.json(), max_tune_budget=ROUTER_TUNE_BUDGET)
         served_by, relay = await self._forward(
             job.key, "POST", request.path, request.body)
         if relay.status == 200:
@@ -703,7 +656,8 @@ class ShardRouter:
 
     async def _post_sweep(self, request: HttpRequest) -> dict:
         payload = request.json()
-        jobs = jobmod.build_sweep_jobs(payload, max_jobs=MAX_SWEEP_JOBS)
+        jobs = jobmod.build_sweep_jobs(payload, max_jobs=MAX_SWEEP_JOBS,
+                                       max_tune_budget=ROUTER_TUNE_BUDGET)
         entries = payload["jobs"]
         deadline = payload.get("deadline_s")
         groups: "dict[str, list[int]]" = {}
@@ -912,29 +866,13 @@ class ShardRouter:
                 "ring": self.ring.describe()}
 
 
-def _build_tune(payload: dict):
-    # Budget caps are a per-shard policy; the router only needs the
-    # canonical content hash, so validate against a permissive bound
-    # and let the owning shard enforce its own --max-tune-budget.
-    return jobmod.build_tune_job(payload, max_budget=1_000_000)
-
-
-_BUILDERS = {
-    "/v1/simulate": jobmod.build_simulate_job,
-    "/v1/estimate": jobmod.build_estimate_job,
-    "/v1/cluster": jobmod.build_cluster_job,
-    "/v1/tune": _build_tune,
-}
-
 _ROUTES = {
     ("GET", "/"): ShardRouter._get_index,
     ("GET", "/healthz"): ShardRouter._get_healthz,
     ("GET", "/readyz"): ShardRouter._get_readyz,
     ("GET", "/metrics"): ShardRouter._get_metrics,
-    ("POST", "/v1/simulate"): ShardRouter._post_forward,
-    ("POST", "/v1/estimate"): ShardRouter._post_forward,
-    ("POST", "/v1/cluster"): ShardRouter._post_forward,
-    ("POST", "/v1/tune"): ShardRouter._post_forward,
+    **{("POST", f"/v1/{name}"): ShardRouter._post_forward
+       for name in jobmod.KINDS},
     ("POST", "/v1/sweep"): ShardRouter._post_sweep,
     ("POST", "/v1/admin/join"): ShardRouter._post_join,
     ("POST", "/v1/admin/leave"): ShardRouter._post_leave,

@@ -30,6 +30,9 @@ from repro.kernels.kernel import KernelSpec, LocalityCategory
 ARCH_ORDER = (Architecture.FERMI, Architecture.KEPLER,
               Architecture.MAXWELL, Architecture.PASCAL)
 
+#: Largest problem scale a kernel is built at (1.0 = evaluation size).
+MAX_SCALE = 4.0
+
 
 @dataclass(frozen=True)
 class Table2Row:
@@ -80,8 +83,9 @@ class Workload:
         register footprint is specialized to that architecture (the
         paper's per-generation nvcc allocation differences).
         """
-        if not 0.0 < scale <= 4.0:
-            raise ValueError(f"scale must be in (0, 4], got {scale}")
+        if not 0.0 < scale <= MAX_SCALE:
+            raise ValueError(
+                f"scale must be in (0, {MAX_SCALE:g}], got {scale}")
         # The built kernel is a pure function of (workload, scale,
         # architecture), so hand every caller the *same* KernelSpec
         # instance: its memoized traces and precompiled access streams

@@ -58,6 +58,18 @@ class TestParse:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad_json"
 
+    @pytest.mark.parametrize("body", [b"[1, 2]", b"7", b'"NN"', b"null"])
+    def test_non_object_body_is_bad_json(self, body):
+        # Every endpoint reads fields off an object; any other JSON
+        # document is a 400, not an AttributeError 500.
+        request = parse(b"POST /v1/simulate HTTP/1.1\r\n"
+                        + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                        + body)
+        with pytest.raises(HttpError) as excinfo:
+            request.json()
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_json"
+
     def test_empty_body_parses_as_empty_object(self):
         request = parse(b"POST /v1/simulate HTTP/1.1\r\n\r\n")
         assert request.json() == {}

@@ -11,9 +11,12 @@ from repro.engine import execute
 from repro.gpu.metrics import canonical_metrics
 from repro.service.httpio import HttpError
 from repro.service.jobs import (
+    KINDS,
     build_cluster_job,
+    build_cotenant_job,
     build_simulate_job,
     build_sweep_jobs,
+    build_tune_job,
     jsonable,
 )
 
@@ -49,12 +52,52 @@ class TestSimulateJob:
         ({"workload": "NN", "gpu": "GTX980", "scale": -1}, "scale"),
         ({"workload": "NN", "gpu": "GTX980", "scale": "big"}, "scale"),
         ({"workload": 7, "gpu": "GTX980"}, "workload"),
+        # json.loads accepts NaN, Infinity and overflowing literals.
+        (json.loads('{"workload": "NN", "gpu": "GTX980", "seed": 1e400}'),
+         "seed"),
+        (json.loads('{"workload": "NN", "gpu": "GTX980", "warmups": NaN}'),
+         "warmups"),
+        (json.loads('{"workload": "NN", "gpu": "GTX980", '
+                    '"scale": -Infinity}'), "scale"),
+        ({"workload": "NN", "gpu": "GTX980", "scale": 10 ** 400}, "scale"),
+        # Above the largest scale a workload kernel is built at.
+        ({"workload": "NN", "gpu": "GTX980", "scale": 8}, "scale"),
     ])
     def test_validation_is_a_400(self, payload, field):
         with pytest.raises(HttpError) as excinfo:
             build_simulate_job(payload)
         assert excinfo.value.status == 400
         assert field in excinfo.value.message
+
+
+class TestNonFiniteNumbers:
+    """A numeric field of each served kind answers a non-finite value
+    with a 400 naming the field, never an OverflowError 500."""
+
+    CASES = [
+        ("estimate", {"workload": "NN", "gpu": "GTX980"}, "warmups"),
+        ("bound", {"workload": "NN", "gpu": "GTX980"}, "l2_divisor"),
+        ("bound", {"workload": "NN", "gpu": "GTX980"}, "scale"),
+        ("cluster", {"workload": "NN", "gpu": "GTX980"}, "active_agents"),
+        ("tune", {"workload": "NN", "gpu": "GTX980"}, "budget"),
+        ("cotenant", {"gpu": "GTX980", "tenants": ["NN"]}, "seed"),
+    ]
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("kind, base, field", CASES)
+    def test_non_finite_is_a_400(self, kind, base, field, literal):
+        payload = {**base, field: json.loads(literal)}
+        with pytest.raises(HttpError) as excinfo:
+            KINDS[kind].build(payload, max_tune_budget=64)
+        assert excinfo.value.status == 400
+        assert field in excinfo.value.message
+
+    def test_non_finite_tenant_field_is_a_400(self):
+        payload = {"gpu": "GTX980",
+                   "tenants": [{"workload": "NN", "scale": float("inf")}]}
+        with pytest.raises(HttpError) as excinfo:
+            build_cotenant_job(payload)
+        assert excinfo.value.status == 400
 
 
 class TestClusterJob:
@@ -101,6 +144,25 @@ class TestSweepJobs:
         with pytest.raises(HttpError) as excinfo:
             build_sweep_jobs({"jobs": [{"kind": "teleport"}]}, max_jobs=4)
         assert "teleport" in excinfo.value.message
+
+    def test_tune_entry_honours_the_budget_cap(self):
+        # The descriptor spelling (budget under "extras") and the
+        # /v1/tune spelling both go through the tune builder's cap.
+        for entry in ({"kind": "tune", "workload": "NN", "gpu": "GTX980",
+                       "extras": {"budget": 100000}},
+                      {"kind": "tune", "workload": "NN", "gpu": "GTX980",
+                       "budget": 65}):
+            with pytest.raises(HttpError) as excinfo:
+                build_sweep_jobs({"jobs": [entry]}, max_jobs=8)
+            assert excinfo.value.status == 400
+            assert excinfo.value.message.startswith("jobs[0]: ")
+            assert "budget" in excinfo.value.message
+
+    def test_tune_entry_is_the_endpoint_job(self):
+        payload = {"workload": "NN", "gpu": "GTX980", "budget": 8}
+        [job] = build_sweep_jobs({"jobs": [{"kind": "tune", **payload}]},
+                                 max_jobs=8, max_tune_budget=8)
+        assert job.key == build_tune_job(payload, max_budget=8).key
 
     def test_empty_list_rejected(self):
         with pytest.raises(HttpError):

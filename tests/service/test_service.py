@@ -14,6 +14,7 @@ through the stdlib client.  Determinism tricks:
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -319,6 +320,25 @@ class TestErrors:
         response = connection.getresponse()
         assert response.status == 400
         response.read()
+        client.close()
+
+    def test_nan_deadline_is_400(self, service_factory):
+        client = service_factory(workers=0, cache=False).client()
+        connection = client._connect()
+        connection.request(
+            "POST", "/v1/simulate",
+            body=b'{"workload": "NN", "gpu": "GTX980", "deadline_s": NaN}',
+            headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        body = response.read()
+        assert response.status == 400
+
+        def strict(constant):
+            raise ValueError(f"non-JSON constant {constant} in the answer")
+
+        error = json.loads(body, parse_constant=strict)["error"]
+        assert error["code"] == "bad_request"
+        assert "deadline_s" in error["message"]
         client.close()
 
     def test_executor_failure_is_structured_500(self, service_factory):

@@ -19,6 +19,7 @@ import pytest
 import repro.service.core as core
 from repro.service.client import FailoverClient, ServiceError
 from repro.service.embed import EmbeddedCluster, EmbeddedService
+from repro.service.jobs import KINDS
 from repro.service.ring import HashRing
 from repro.service.shard import parse_shard_spec
 
@@ -57,18 +58,40 @@ def cluster_executed(cluster: EmbeddedCluster) -> int:
     return total
 
 
-def test_routed_response_bytes_equal_single_node():
+#: One small request per served kind (every entry of ``jobs.KINDS``).
+KIND_PAYLOADS = {
+    "simulate": {**SIM, "scale": 0.1},
+    "estimate": {**SIM, "scale": 0.1, "scheme": "CLU"},
+    "bound": {"workload": "NN", "gpu": "GTX980", "scale": 0.1},
+    "cotenant": {"gpu": "GTX980", "policy": "sm-split",
+                 "tenants": [{"workload": "NN", "scale": 0.1},
+                             {"workload": "ATX", "scale": 0.1}]},
+    "cluster": {"workload": "NN", "gpu": "GTX980", "direction": "Y-P"},
+    "tune": {"workload": "NN", "gpu": "GTX980", "budget": 3, "scale": 0.1},
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_routed_response_bytes_equal_single_node(kind):
     """A cold request through the router must produce *byte-identical*
-    HTTP bodies to a cold request against a standalone service."""
-    payload = dict(SIM)
+    HTTP bodies to a cold request against a standalone service, for
+    every kind a shard serves."""
+    path, payload = f"/v1/{kind}", KIND_PAYLOADS[kind]
     with EmbeddedCluster(shards=2, workers=0) as cluster:
-        status, routed = raw_post(cluster.router.port, "/v1/simulate",
-                                  payload)
-        assert status == 200
+        status, routed = raw_post(cluster.router.port, path, payload)
+        assert status == 200, routed
     with EmbeddedService(workers=0, cache=False) as single:
-        status, direct = raw_post(single.port, "/v1/simulate", payload)
-        assert status == 200
+        status, direct = raw_post(single.port, path, payload)
+        assert status == 200, direct
     assert routed == direct
+
+
+def test_router_index_lists_every_kind():
+    with EmbeddedCluster(shards=1, workers=0) as cluster:
+        with cluster.client() as client:
+            endpoints = client._call("GET", "/")["endpoints"]
+    assert {f"POST /v1/{kind}" for kind in KINDS} <= set(endpoints)
+    assert {"POST /v1/bound", "POST /v1/cotenant"} <= set(endpoints)
 
 
 def test_16_concurrent_identical_requests_execute_once(monkeypatch):
