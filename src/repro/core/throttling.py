@@ -10,12 +10,14 @@ kernel first (a "reduced problem size" probe) to keep the vote cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from repro.core.agent import agent_plan
 from repro.core.indexing import PartitionDirection, Y_PARTITION
 from repro.gpu.config import GpuConfig
+from repro.gpu.metrics import KernelMetrics
 from repro.gpu.occupancy import max_ctas_per_sm
+from repro.gpu.plan import ExecutionPlan
 from repro.gpu.simulator import simulate
 from repro.kernels.kernel import KernelSpec
 
@@ -33,17 +35,54 @@ def throttle_candidates(max_agents: int) -> "list[int]":
     return candidates
 
 
+def _plan_digest(plan: ExecutionPlan) -> dict:
+    """``plan.describe()`` without its ``scheme`` label: two plans
+    with equal digests built for one kernel and platform dispatch
+    identically, whatever they are called."""
+    digest = plan.describe()
+    del digest["scheme"]
+    return digest
+
+
 @dataclass(frozen=True)
 class ThrottleVote:
-    """Outcome of the dynamic voting scheme."""
+    """Outcome of the dynamic voting scheme.
+
+    Besides each candidate's cycles, the vote keeps the full metrics
+    and plan digest of every candidate run and the ``seed``/``warmups``
+    they ran with, so a caller measuring one of those plans again can
+    take the vote's run instead (:meth:`measured`).
+    """
 
     active_agents: int
     max_agents: int
     cycles_by_candidate: "dict[int, float]"
+    metrics_by_candidate: "dict[int, KernelMetrics]" = field(
+        default_factory=dict)
+    digest_by_candidate: "dict[int, dict]" = field(default_factory=dict)
+    seed: int = 0
+    warmups: int = 1
 
     @property
     def throttled(self) -> bool:
         return self.active_agents < self.max_agents
+
+    def measured(self, plan: ExecutionPlan, seed: int,
+                 warmups: int) -> "KernelMetrics | None":
+        """The vote's metrics for ``plan``, relabelled with its scheme.
+
+        ``None`` unless a candidate ran a plan with the same digest
+        under the same ``seed`` and ``warmups`` (the caller vouches
+        for kernel and simulator: pass the vote's own).
+        """
+        if (seed, warmups) != (self.seed, self.warmups):
+            return None
+        digest = _plan_digest(plan)
+        for degree, candidate in self.digest_by_candidate.items():
+            if candidate == digest:
+                return replace(self.metrics_by_candidate[degree],
+                               scheme=plan.scheme)
+        return None
 
 
 def vote_active_agents(simulator, kernel: KernelSpec,
@@ -60,13 +99,20 @@ def vote_active_agents(simulator, kernel: KernelSpec,
     max_agents = max_ctas_per_sm(config, kernel)
     if candidates is None:
         candidates = throttle_candidates(max_agents)
-    results = {}
+    seed, warmups = 0, 1
+    metrics, digests = {}, {}
     for degree in candidates:
         if not 1 <= degree <= max_agents:
             raise ValueError(f"candidate {degree} outside [1, {max_agents}]")
         plan = agent_plan(kernel, config, partition_direction,
                           active_agents=degree, bypass_streams=bypass_streams)
-        results[degree] = simulate(simulator, kernel, plan).cycles
-    best = min(sorted(results, reverse=True), key=results.get)
+        metrics[degree] = simulate(simulator, kernel, plan, seed=seed,
+                                   warmups=warmups)
+        digests[degree] = _plan_digest(plan)
+    cycles = {degree: m.cycles for degree, m in metrics.items()}
+    best = min(sorted(cycles, reverse=True), key=cycles.get)
     return ThrottleVote(active_agents=best, max_agents=max_agents,
-                        cycles_by_candidate=results)
+                        cycles_by_candidate=cycles,
+                        metrics_by_candidate=metrics,
+                        digest_by_candidate=digests,
+                        seed=seed, warmups=warmups)

@@ -27,7 +27,7 @@ from repro.core.dependence import analyze_direction
 from repro.core.indexing import direction
 from repro.core.prefetch import prefetch_plan
 from repro.core.redirection import redirection_plan
-from repro.core.throttling import vote_active_agents
+from repro.core.throttling import ThrottleVote, vote_active_agents
 from repro.gpu.config import GpuConfig
 from repro.gpu.metrics import KernelMetrics
 from repro.gpu.occupancy import max_ctas_per_sm
@@ -46,26 +46,29 @@ def partition_for(workload: Workload, kernel) -> "object":
     return analyze_direction(kernel).direction
 
 
-def optimal_agents(workload: Workload, kernel, config: GpuConfig,
-                   simulator: GpuSimulator = None,
-                   use_paper_value: bool = False) -> int:
-    """The CLU+TOT throttling degree for one workload/platform pair."""
+def throttle_vote(workload: Workload, kernel, config: GpuConfig,
+                  simulator: GpuSimulator = None,
+                  use_paper_value: bool = False) -> ThrottleVote:
+    """The CLU+TOT throttling decision for one workload/platform pair.
+
+    The dynamic vote by default; with ``use_paper_value`` (and a
+    Table-2 row) the paper's degree, as a vote that measured nothing.
+    """
     max_agents = max_ctas_per_sm(config, kernel)
     if use_paper_value and workload.table2 is not None:
-        return min(max_agents,
-                   workload.table2.opt_agents_for(config.architecture))
+        paper = workload.table2.opt_agents_for(config.architecture)
+        return ThrottleVote(active_agents=min(max_agents, paper),
+                            max_agents=max_agents, cycles_by_candidate={})
     sim = simulator if simulator is not None else GpuSimulator(config)
-    vote = vote_active_agents(sim, kernel, partition_for(workload, kernel))
-    return vote.active_agents
+    return vote_active_agents(sim, kernel, partition_for(workload, kernel))
 
 
 def build_scheme_plans(workload: Workload, kernel, config: GpuConfig,
-                       simulator: GpuSimulator = None,
-                       use_paper_agents: bool = False) -> "dict[str, ExecutionPlan]":
-    """All six Figure-12 configurations for one workload/platform pair."""
+                       vote: ThrottleVote) -> "dict[str, ExecutionPlan]":
+    """All six Figure-12 configurations for one workload/platform pair;
+    the throttled schemes use ``vote``'s degree."""
     part = partition_for(workload, kernel)
-    opt = optimal_agents(workload, kernel, config, simulator,
-                         use_paper_value=use_paper_agents)
+    opt = vote.active_agents
     return {
         "BSL": baseline_plan(),
         "RD": redirection_plan(kernel, config, part),
@@ -135,11 +138,16 @@ def run_all_schemes(workload: Workload, config: GpuConfig,
     kernel = workload.kernel(scale=scale, config=config)
     run_config = config.with_scaled_l2(l2_divisor)
     sim = GpuSimulator(run_config)
-    plans = build_scheme_plans(workload, kernel, run_config, sim,
-                               use_paper_agents=use_paper_agents)
+    vote = throttle_vote(workload, kernel, run_config, sim,
+                         use_paper_value=use_paper_agents)
+    plans = build_scheme_plans(workload, kernel, run_config, vote)
     metrics = {}
     for scheme in schemes:
-        metrics[scheme] = simulate(sim, kernel, plans[scheme], seed=seed,
-                                   warmups=warmups)
+        # The vote already ran CLU (its maximum degree) and CLU+TOT (its
+        # pick) on this simulator; reuse a run whose plan, seed and
+        # warmups match instead of repeating it bit for bit.
+        metrics[scheme] = (vote.measured(plans[scheme], seed, warmups)
+                           or simulate(sim, kernel, plans[scheme],
+                                       seed=seed, warmups=warmups))
     return SchemeResults(workload=workload.abbr, gpu=config.name,
                          metrics=metrics)

@@ -71,7 +71,7 @@ class FastSetAssociativeCache:
 
     __slots__ = ("line_size", "n_sets", "assoc", "write_policy",
                  "_tags", "_ready", "stats", "_random_replacement",
-                 "_rng_state", "_tracer", "_level")
+                 "_seed", "_rng_state", "_tracer", "_level")
 
     def __init__(self, size: int, line_size: int, assoc: int,
                  write_policy: WritePolicy = WritePolicy.WRITE_EVICT,
@@ -89,7 +89,18 @@ class FastSetAssociativeCache:
         self._ready = [[] for _ in range(self.n_sets)]
         self.stats = CacheStats()
         self._random_replacement = random_replacement
+        self._seed = seed
         self._rng_state = seed & _LCG_MASK
+        self._tracer = None
+        self._level = "cache"
+
+    def reset(self) -> None:
+        """Restore the freshly built state: no lines, zeroed counters,
+        the replacement LCG re-seeded, no tracer.  The per-set lists
+        are cleared in place, so a recycled cache allocates nothing."""
+        self.flush()
+        self.stats = CacheStats()
+        self._rng_state = self._seed & _LCG_MASK
         self._tracer = None
         self._level = "cache"
 
@@ -189,9 +200,10 @@ class FastSetAssociativeCache:
 
     def flush(self) -> None:
         """Drop all resident lines (counters are preserved)."""
-        for tags in self._tags:
+        # ``filter`` skips the (usually many) empty sets in C.
+        for tags in filter(None, self._tags):
             tags.clear()
-        for ready_list in self._ready:
+        for ready_list in filter(None, self._ready):
             ready_list.clear()
 
     def reset_stats(self) -> None:
@@ -237,6 +249,10 @@ class FastSectoredCache:
     def set_tracer(self, tracer, level: str = None) -> None:
         for part in self._parts:
             part.set_tracer(tracer, level)
+
+    def reset(self) -> None:
+        for part in self._parts:
+            part.reset()
 
     def flush(self) -> None:
         for part in self._parts:

@@ -75,8 +75,8 @@ class SetAssociativeCache:
     """
 
     __slots__ = ("line_size", "n_sets", "assoc", "write_policy", "_sets",
-                 "stats", "_random_replacement", "_rng_state", "_tracer",
-                 "_level")
+                 "stats", "_random_replacement", "_seed", "_rng_state",
+                 "_tracer", "_level")
 
     def __init__(self, size: int, line_size: int, assoc: int,
                  write_policy: WritePolicy = WritePolicy.WRITE_EVICT,
@@ -93,7 +93,18 @@ class SetAssociativeCache:
         self._sets = [dict() for _ in range(self.n_sets)]
         self.stats = CacheStats()
         self._random_replacement = random_replacement
+        self._seed = seed
         self._rng_state = seed & 0xFFFFFFFF
+        self._tracer = None
+        self._level = "cache"
+
+    def reset(self) -> None:
+        """Restore the freshly built state: no lines, zeroed counters,
+        the replacement LCG re-seeded from the constructor's seed and
+        no tracer — indistinguishable from a new instance."""
+        self.flush()
+        self.stats = CacheStats()
+        self._rng_state = self._seed & 0xFFFFFFFF
         self._tracer = None
         self._level = "cache"
 
@@ -244,6 +255,11 @@ class SectoredCache:
         """Attach/detach an event tracer on every sector."""
         for part in self._parts:
             part.set_tracer(tracer, level)
+
+    def reset(self) -> None:
+        """Restore every sector to its freshly built state."""
+        for part in self._parts:
+            part.reset()
 
     def flush(self) -> None:
         for part in self._parts:

@@ -92,6 +92,9 @@ class GpuSimulator:
         self._topo = (config.topology
                       if config.topology is not None
                       and not config.topology.is_trivial else None)
+        #: At most one reset cache pair, recycled by :meth:`run` and
+        #: :func:`simulate` when the caller brings no caches.
+        self._parked = []
 
     # ------------------------------------------------------------------
     # public API
@@ -104,6 +107,30 @@ class GpuSimulator:
                  for _ in range(config.num_sms)],
                 make_l2(config, fast=self.fast))
 
+    def _take_caches(self):
+        """A cold cache pair: the parked one, or a fresh one.
+
+        The pop makes a nested or concurrent taker fall back to
+        :meth:`fresh_caches` instead of sharing a pair in use.
+        """
+        try:
+            return self._parked.pop()
+        except IndexError:
+            return self.fresh_caches()
+
+    def _park_caches(self, caches) -> None:
+        """Reset a pair taken with :meth:`_take_caches` and keep it.
+
+        Resetting at release means a parked pair holds no lines, and a
+        recycled pair is indistinguishable from a fresh one.
+        """
+        l1s, l2 = caches
+        for l1 in l1s:
+            l1.reset()
+        l2.reset()
+        if not self._parked:
+            self._parked.append(caches)
+
     def run(self, kernel: KernelSpec, plan: ExecutionPlan = None,
             record_per_cta: bool = False, seed: int = 0,
             caches=None, tracer=None) -> KernelMetrics:
@@ -112,6 +139,8 @@ class GpuSimulator:
         ``caches`` lets callers carry cache *contents* across launches
         (GPUs do not flush caches between kernel invocations); counters
         are reset so the returned metrics cover this launch only.
+        Without it the launch starts cold on the simulator's recycled
+        pair (see :func:`simulate`).
         ``tracer`` overrides the simulator's own tracer for this launch.
         """
         plan = plan if plan is not None else baseline_plan()
@@ -126,8 +155,9 @@ class GpuSimulator:
         )
         if self._topo is not None:
             metrics.chiplets = self._topo.chiplets
-        if caches is None:
-            caches = self.fresh_caches()
+        recycle = caches is None
+        if recycle:
+            caches = self._take_caches()
         l1s, l2 = caches
         # The fused loop needs the flat-array models; a caller handing
         # us reference caches gets the reference loop (still correct,
@@ -171,6 +201,8 @@ class GpuSimulator:
         metrics.cycles = max(metrics.sm_cycles) if metrics.sm_cycles else 0.0
         if tracer is not None:
             tracer.retire(kernel.name, metrics.cycles)
+        if recycle:
+            self._park_caches(caches)
         return metrics
 
     # ------------------------------------------------------------------
@@ -534,6 +566,12 @@ def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
     launch only — warm-ups stay untraced so profiles describe the run
     the returned metrics describe.
 
+    Without ``caches``, a call on a :class:`GpuSimulator` (like
+    :meth:`GpuSimulator.run`) starts cold on the simulator's parked
+    cache pair (a fresh one the first time), and resets and parks the
+    pair again when it finishes; a reset pair is indistinguishable
+    from a fresh one, so this only saves allocations.
+
     ``fast`` selects the simulation core: ``True`` (the process
     default) runs the flat-array fast path of
     :mod:`repro.gpu.fastpath`, ``False`` the dict-based reference
@@ -554,10 +592,18 @@ def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
         simulator = GpuSimulator(gpu, fast=fast)
     if warmups < 0:
         raise ValueError(f"warmups must be >= 0, got {warmups}")
+    # A simulator built here dies on return: parking its pair would
+    # only cost a reset, so only a caller's simulator recycles.
+    recycle = caches is None and simulator is gpu
     if caches is None:
-        caches = simulator.fresh_caches()
+        caches = (simulator._take_caches() if recycle
+                  else simulator.fresh_caches())
     for i in range(warmups):
         simulator.run(kernel, plan, seed=seed + i, caches=caches)
-    return simulator.run(kernel, plan, record_per_cta=record_per_cta,
-                         seed=seed + warmups, caches=caches, tracer=tracer)
+    metrics = simulator.run(kernel, plan, record_per_cta=record_per_cta,
+                            seed=seed + warmups, caches=caches,
+                            tracer=tracer)
+    if recycle:
+        simulator._park_caches(caches)
+    return metrics
 

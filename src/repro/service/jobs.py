@@ -24,7 +24,6 @@ import math
 from typing import Callable
 
 from repro.engine.executors import (
-    EXECUTORS,
     bound_job,
     cluster_job,
     cotenant_job,
@@ -34,6 +33,8 @@ from repro.engine.executors import (
 )
 from repro.engine.job import SimJob
 from repro.gpu.metrics import KernelMetrics, canonical_metrics
+from repro.gpu.scheduler import SCHEDULERS
+from repro.gpu.topology import PLACEMENTS, TOPOLOGIES
 from repro.service.config import ServiceConfig
 from repro.service.httpio import HttpError
 from repro.workloads.base import MAX_SCALE
@@ -222,6 +223,22 @@ def build_cotenant_job(payload: dict) -> SimJob:
         raise _bad("tenants", str(exc)) from None
 
 
+#: The schemes whose plan takes an ``active_agents`` degree.
+_THROTTLED = ("CLU+TOT", "CLU+TOT+BPS", "PFH+TOT")
+
+
+def _check_agents(workload: str, config, scale: float, agents: int) -> None:
+    """``active_agents`` must fit the kernel's occupancy on ``config``;
+    the plan builders raise past it, which would be a failed job."""
+    from repro.gpu.occupancy import max_ctas_per_sm
+    from repro.workloads.registry import workload as lookup
+    kernel = lookup(workload).kernel(scale=scale, config=config)
+    most = max_ctas_per_sm(config, kernel)
+    if agents > most:
+        raise _bad("active_agents", f"must be <= {most} for {workload} "
+                                    f"on {config.name}, got {agents}")
+
+
 def build_cluster_job(payload: dict) -> SimJob:
     """``POST /v1/cluster`` body -> a canonical ``cluster`` job."""
     workload = _check_workload(_string(payload, "workload", required=True))
@@ -236,6 +253,14 @@ def build_cluster_job(payload: dict) -> SimJob:
     seed = _seed(payload)
     topology = _check_topology(_string(payload, "topology"))
     placement = _check_placement(_string(payload, "placement"))
+    if active_agents is not None and scheme in _THROTTLED:
+        from repro.api import apply_topology
+        from repro.gpu.config import platform
+        config = platform(gpu)
+        if topology is not None:
+            config = apply_topology(config, topology)
+        # The facade plans a registry workload at scale 1.0.
+        _check_agents(workload, config, 1.0, active_agents)
     return cluster_job(workload, gpu, scheme=scheme, direction=direction,
                        active_agents=active_agents, seed=seed,
                        topology=topology, placement=placement)
@@ -314,9 +339,10 @@ def build_sweep_jobs(payload: dict, *, max_jobs: int,
 
     An entry of a served kind (:data:`KINDS`) goes through that kind's
     own builder, under the same limits as its endpoint; its ``extras``,
-    if any, are read as further request fields.  Any other engine kind
-    takes the full descriptor shape (``kind`` plus the shared fields
-    and ``extras``).
+    if any, are read as further request fields.  An engine kind of
+    :data:`ENGINE_KINDS` takes the full descriptor shape (``kind`` plus
+    the shared fields and ``extras``), checked against that kind's
+    fields.
     """
     entries = payload.get("jobs")
     if not isinstance(entries, list) or not entries:
@@ -338,28 +364,133 @@ def build_sweep_jobs(payload: dict, *, max_jobs: int,
     return jobs
 
 
+def _flag(extras: dict, field: str) -> None:
+    value = extras.get(field)
+    if value is not None and not isinstance(value, bool):
+        raise _bad(field, f"expected a boolean, got {type(value).__name__}")
+
+
+def _at_least(minimum, cast=int):
+    def check(extras: dict, field: str) -> None:
+        _number(extras, field, None, cast=cast, minimum=minimum)
+    return check
+
+
+def _choice(names):
+    def check(extras: dict, field: str) -> None:
+        value = _string(extras, field)
+        if value is not None and value not in names:
+            raise _bad(field, f"unknown value {value!r}; "
+                              f"known: {sorted(names)}")
+    return check
+
+
+def _tile(extras: dict, field: str) -> None:
+    value = extras.get(field)
+    if value is None:
+        return
+    if not isinstance(value, list) or len(value) != 2:
+        raise _bad(field, "expected [width, height]")
+    for index in range(2):
+        _number({field: value[index]}, field, None, cast=int, minimum=1)
+
+
+def _scheme_list(extras: dict, field: str) -> None:
+    from repro.experiments.schemes import SCHEME_ORDER
+    value = extras.get(field)
+    if value is None:
+        return
+    if not isinstance(value, list) or not value:
+        raise _bad(field, "expected a non-empty list of scheme names")
+    for name in value:
+        if not isinstance(name, str) or name not in SCHEME_ORDER:
+            raise _bad(field, f"unknown scheme {name!r}; "
+                              f"known: {list(SCHEME_ORDER)}")
+
+
+def _measure_check(job: SimJob) -> None:
+    """A ``measure`` job's platform knobs must build a platform and an
+    L1, and its ``active_agents`` must fit the kernel — checked here,
+    not in a worker."""
+    from repro.engine.executors import _platform_for
+    from repro.gpu.cache import make_l1
+    try:
+        gpu = _platform_for(job)
+        make_l1(gpu)
+    except ValueError as exc:
+        raise _bad("extras", str(exc)) from None
+    agents = job.extra("active_agents")
+    if agents is not None and job.extra("plan") in ("clu", "pfh"):
+        _check_agents(job.workload, gpu, job.scale, agents)
+
+
+@dataclasses.dataclass(frozen=True)
+class EngineKind:
+    """A sweep-only engine kind: its required top-level fields, a
+    check per accepted ``extras`` field, and an optional whole-job
+    check."""
+
+    required: "tuple[str, ...]"
+    extras: "dict[str, Callable[[dict, str], None]]"
+    check: "Callable[[SimJob], None] | None" = None
+
+
+#: The engine kinds a sweep may name besides :data:`KINDS`.  An entry
+#: naming a field these do not list, or missing a required one, is a
+#: 400 here rather than a failed job in a worker.
+ENGINE_KINDS = {
+    "schemes": EngineKind(("workload", "gpu"), {
+        "use_paper_agents": _flag, "l2_divisor": _at_least(1),
+        "schemes": _scheme_list}),
+    "measure": EngineKind(("workload", "gpu"), {
+        "plan": _choice(("baseline", "rd", "clu", "pfh")),
+        "direction": _choice(("X-P", "Y-P")),
+        "active_agents": _at_least(1), "bypass_streams": _flag,
+        "tile": _tile, "scheduler": _choice(SCHEDULERS),
+        "hiding_cap": _at_least(0, cast=float), "join_stagger": _at_least(0),
+        "l1_size": _at_least(1), "l1_sectors": _at_least(1),
+        "l2_divisor": _at_least(1), "topology": _choice(TOPOLOGIES),
+        "placement": _choice(PLACEMENTS)}, check=_measure_check),
+    "microbench": EngineKind(("gpu",), {
+        "staggered": _flag, "scheduler": _choice(SCHEDULERS)}),
+    "reuse": EngineKind(("workload",), {"max_ctas": _at_least(1)}),
+    "table2": EngineKind(("workload",), {}),
+    "framework": EngineKind(("workload", "gpu"), {}),
+}
+
+
 def _build_one(entry: dict, max_tune_budget: int) -> SimJob:
     kind = _string(entry, "kind", default="simulate")
     if kind in KINDS:
         return KINDS[kind].build({**_extras(entry), **entry},
                                  max_tune_budget=max_tune_budget)
-    if kind not in EXECUTORS:
-        raise _bad("kind", f"unknown job kind {kind!r}; "
-                           f"known: {sorted(EXECUTORS)}")
-    workload = _string(entry, "workload")
+    spec = ENGINE_KINDS.get(kind)
+    if spec is None:
+        raise _bad("kind", f"unknown job kind {kind!r}; known: "
+                           f"{sorted({*KINDS, *ENGINE_KINDS})}")
+    workload = _string(entry, "workload",
+                       required="workload" in spec.required)
     if workload is not None:
         _check_workload(workload)
-    gpu = _string(entry, "gpu")
+    gpu = _string(entry, "gpu", required="gpu" in spec.required)
     if gpu is not None:
         _check_gpu(gpu)
     extras = _extras(entry)
+    for field in extras:
+        if field not in spec.extras:
+            raise _bad("extras", f"{kind!r} takes no field {field!r}; "
+                                 f"known: {sorted(spec.extras)}")
+        spec.extras[field](extras, field)
     try:
-        return SimJob.make(
+        job = SimJob.make(
             kind, workload=workload, gpu=gpu,
             scheme=_string(entry, "scheme"), scale=_scale(entry),
             seed=_seed(entry), warmups=_warmups(entry), **extras)
     except TypeError as exc:
         raise _bad("extras", str(exc)) from None
+    if spec.check is not None:
+        spec.check(job)
+    return job
 
 
 def _extras(entry: dict) -> dict:

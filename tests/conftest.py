@@ -1,4 +1,5 @@
-"""Shared fixtures: platforms and small synthetic kernels."""
+"""Shared fixtures: platforms, small synthetic kernels and the
+session's reduced Fig-12 matrix."""
 
 from __future__ import annotations
 
@@ -16,6 +17,35 @@ def pytest_addoption(parser):
              "tests/integration/goldens/ with freshly computed values "
              "(use after an intentional simulator behaviour change; "
              "commit the diff together with the change that caused it)")
+
+
+#: Scale of the reduced Fig-12 matrix the integration and driver
+#: modules share (with the paper's Table-2 agent counts).
+FIG12_SCALE = 0.4
+
+
+@pytest.fixture(scope="session")
+def fig12_runner():
+    """One memoizing engine runner for the whole test session.
+
+    Every module that evaluates the reduced Fig-12 matrix submits its
+    jobs here, so each (workload, platform) cell simulates once per
+    session however many modules assert on it.
+    """
+    from repro.engine import SweepRunner
+    return SweepRunner(memo=True)
+
+
+@pytest.fixture(scope="session")
+def fig12_sweep(fig12_runner):
+    """``fig12_sweep(platform)``: the reduced Fig-12 matrix on one
+    platform (all 23 apps, :data:`FIG12_SCALE`, Table-2 agents)."""
+    from repro.experiments.evaluation import run_evaluation
+
+    def sweep(config):
+        return run_evaluation(platforms=(config,), scale=FIG12_SCALE,
+                              use_paper_agents=True, runner=fig12_runner)
+    return sweep
 
 
 @pytest.fixture(params=EVALUATION_PLATFORMS, ids=lambda g: g.name)

@@ -1,6 +1,6 @@
 """Driver protocol tests: uniform dispatch must cover every artifact."""
 
-from repro.engine import SimJob, SweepRunner
+from repro.engine import SimJob
 from repro.experiments.driver import (
     DRIVERS,
     ExperimentDriver,
@@ -9,12 +9,14 @@ from repro.experiments.driver import (
     get_driver,
     run_driver,
 )
-from repro.experiments.evaluation import run_evaluation
 from repro.gpu.config import TESLA_K40
 
 import pytest
 
-SMALL = RunContext(platforms=(TESLA_K40,), scale=0.3, seed=0,
+from tests.conftest import FIG12_SCALE
+
+#: The session's shared Fig-12 matrix on Kepler (see ``fig12_sweep``).
+SMALL = RunContext(platforms=(TESLA_K40,), scale=FIG12_SCALE, seed=0,
                    use_paper_agents=True)
 
 
@@ -58,19 +60,18 @@ class TestPlanning:
 
 
 class TestRoundTrip:
-    def test_fig12_render_matches_run_evaluation(self):
+    def test_fig12_render_matches_run_evaluation(self, fig12_runner,
+                                                  fig12_sweep):
         from repro.experiments.fig12 import Fig12Result
-        report = run_driver("fig12", SMALL)
-        direct = run_evaluation(platforms=(TESLA_K40,), scale=0.3, seed=0,
-                                use_paper_agents=True)
+        report = run_driver("fig12", SMALL, runner=fig12_runner)
+        direct = fig12_sweep(TESLA_K40)
         assert report.render() == Fig12Result(sweep=direct).render()
 
-    def test_memoizing_runner_serves_fig13_from_fig12(self):
-        runner = SweepRunner(memo=True)
-        run_driver("fig12", SMALL, runner=runner)
-        executed_after_fig12 = runner.stats.executed
-        run_driver("fig13", SMALL, runner=runner)
-        assert runner.stats.executed == executed_after_fig12
+    def test_memoizing_runner_serves_fig13_from_fig12(self, fig12_runner):
+        run_driver("fig12", SMALL, runner=fig12_runner)
+        executed_after_fig12 = fig12_runner.stats.executed
+        run_driver("fig13", SMALL, runner=fig12_runner)
+        assert fig12_runner.stats.executed == executed_after_fig12
 
     def test_table1_renders_without_jobs(self):
         report = run_driver("table1", SMALL)

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.core.throttling import throttle_candidates
 from repro.experiments.schemes import (
-    SCHEME_ORDER, build_scheme_plans, optimal_agents, partition_for,
-    run_all_schemes)
-from repro.gpu.config import TESLA_K40
-from repro.gpu.simulator import GpuSimulator
+    SCHEME_ORDER, build_scheme_plans, partition_for, run_all_schemes,
+    throttle_vote)
+from repro.gpu.config import GTX980, TESLA_K40
+from repro.gpu.metrics import canonical_metrics
+from repro.gpu.occupancy import max_ctas_per_sm
+from repro.gpu.simulator import GpuSimulator, simulate
 from repro.workloads.registry import workload
 
 
@@ -27,15 +30,15 @@ class TestOptimalAgents:
     def test_paper_value_clamped_to_occupancy(self):
         wl = workload("KMN")
         kernel = wl.kernel(config=TESLA_K40)
-        opt = optimal_agents(wl, kernel, TESLA_K40, use_paper_value=True)
-        assert opt == 1  # Table 2: KMN optimal agents = 1 on Kepler
+        vote = throttle_vote(wl, kernel, TESLA_K40, use_paper_value=True)
+        assert vote.active_agents == 1  # Table 2: KMN optimal agents = 1
+        assert vote.metrics_by_candidate == {}  # nothing was simulated
 
     def test_voted_value_in_range(self):
         wl = workload("DCT")
         kernel = wl.kernel(scale=0.4, config=TESLA_K40)
         sim = GpuSimulator(TESLA_K40)
-        opt = optimal_agents(wl, kernel, TESLA_K40, sim)
-        from repro.gpu.occupancy import max_ctas_per_sm
+        opt = throttle_vote(wl, kernel, TESLA_K40, sim).active_agents
         assert 1 <= opt <= max_ctas_per_sm(TESLA_K40, kernel)
 
 
@@ -43,8 +46,9 @@ class TestBuildSchemePlans:
     def test_all_six_schemes(self):
         wl = workload("NN")
         kernel = wl.kernel(scale=0.4, config=TESLA_K40)
-        plans = build_scheme_plans(wl, kernel, TESLA_K40,
-                                   use_paper_agents=True)
+        plans = build_scheme_plans(
+            wl, kernel, TESLA_K40,
+            throttle_vote(wl, kernel, TESLA_K40, use_paper_value=True))
         assert set(plans) == set(SCHEME_ORDER)
         assert plans["BSL"].mode == "scheduled"
         assert plans["RD"].mode == "scheduled"
@@ -77,3 +81,66 @@ class TestRunAllSchemes:
     def test_occupancy_delta(self, results):
         delta = results.occupancy_delta("CLU+TOT")
         assert -1.0 <= delta <= 1.0
+
+
+class TestColdCellWork:
+    """A cold cell simulates each distinct plan once, on one cache pair.
+
+    Counts launches and cache-pair allocations, never time: the vote
+    measures every candidate degree, ``CLU`` (the maximum degree) and
+    ``CLU+TOT`` (the pick) reuse two of those runs, and the four other
+    schemes run once each.
+    """
+
+    SCALE = 0.2
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"run": 0, "fresh_caches": 0}
+        run, fresh = GpuSimulator.run, GpuSimulator.fresh_caches
+
+        def counting_run(self, *args, **kwargs):
+            counts["run"] += 1
+            return run(self, *args, **kwargs)
+
+        def counting_fresh(self):
+            counts["fresh_caches"] += 1
+            return fresh(self)
+
+        monkeypatch.setattr(GpuSimulator, "run", counting_run)
+        monkeypatch.setattr(GpuSimulator, "fresh_caches", counting_fresh)
+        return counts
+
+    def candidates(self, abbr, config):
+        kernel = workload(abbr).kernel(scale=self.SCALE, config=config)
+        return len(throttle_candidates(max_ctas_per_sm(config, kernel)))
+
+    @pytest.mark.parametrize("abbr, config", [("NN", GTX980),
+                                              ("KMN", TESLA_K40)],
+                             ids=["NN-GTX980", "KMN-K40"])
+    def test_default_cell(self, counts, abbr, config):
+        run_all_schemes(workload(abbr), config, scale=self.SCALE)
+        assert counts["fresh_caches"] == 1
+        assert counts["run"] == 2 * (self.candidates(abbr, config) + 4)
+
+    @pytest.mark.parametrize("kwargs, launches", [
+        ({"l2_divisor": 2}, lambda c: 2 * (c + 4)),
+        ({"seed": 1}, lambda c: 2 * c + 2 * 6),
+        ({"warmups": 2}, lambda c: 2 * c + 3 * 6),
+        ({"use_paper_agents": True}, lambda c: 2 * 6),
+    ], ids=["l2_divisor=2", "seed=1", "warmups=2", "paper-agents"])
+    def test_cell_equals_direct_simulation(self, counts, kwargs, launches):
+        wl, config = workload("KMN"), TESLA_K40
+        got = run_all_schemes(wl, config, scale=self.SCALE, **kwargs)
+        assert counts["run"] == launches(self.candidates("KMN", config))
+        run_config = config.with_scaled_l2(kwargs.get("l2_divisor", 1))
+        kernel = wl.kernel(scale=self.SCALE, config=config)
+        plans = build_scheme_plans(wl, kernel, run_config, throttle_vote(
+            wl, kernel, run_config,
+            use_paper_value=kwargs.get("use_paper_agents", False)))
+        for scheme in SCHEME_ORDER:
+            want = simulate(GpuSimulator(run_config), kernel, plans[scheme],
+                            seed=kwargs.get("seed", 0),
+                            warmups=kwargs.get("warmups", 1))
+            assert canonical_metrics(got.metrics[scheme]) == \
+                canonical_metrics(want), scheme

@@ -8,7 +8,7 @@ paper's direction on the strongest claims.
 import pytest
 
 from repro.experiments.ablations import run_ablations
-from repro.experiments.evaluation import group_of, run_evaluation
+from repro.experiments.evaluation import group_of
 from repro.experiments.fig12 import run_fig12
 from repro.experiments.fig13 import run_fig13
 from repro.experiments.scheduler_study import run_scheduler_study
@@ -16,9 +16,8 @@ from repro.gpu.config import TESLA_K40
 
 
 @pytest.fixture(scope="module")
-def kepler_sweep():
-    return run_evaluation(platforms=(TESLA_K40,), scale=0.4,
-                          use_paper_agents=True)
+def kepler_sweep(fig12_sweep):
+    return fig12_sweep(TESLA_K40)
 
 
 class TestEvaluationSweep:

@@ -15,9 +15,11 @@ shipped coefficients.
 import pytest
 
 from repro import api
+from repro.core.dependence import analyze_direction
+from repro.core.throttling import vote_active_agents
 from repro.gpu.analytic import estimate
 from repro.gpu.config import TESLA_K40
-from repro.gpu.plan import baseline_plan
+from repro.gpu.simulator import GpuSimulator, simulate
 from repro.workloads.registry import TABLE2_ORDER, workload
 
 SCHEMES = ("BSL", "RD", "CLU", "CLU+TOT")
@@ -57,58 +59,69 @@ def spearman(xs, ys):
 MIN_CLASS_POINTS = 6
 
 
+def compare(gpu, abbr):
+    """``(category, sim, ana)``: simulated and analytic cycles by scheme
+    for one workload, over the schemes applicable to its kernel.
+
+    The CLU+TOT degree comes from the dynamic throttling vote, and the
+    CLU and CLU+TOT runs are the vote's own (``ThrottleVote.measured``:
+    same plan, seed and warmups), as in a Fig-12 cell; every other
+    scheme is simulated here.
+    """
+    spec = workload(abbr)
+    kernel = spec.kernel(scale=SCALE, config=gpu)
+    sim = GpuSimulator(gpu)
+    direction = analyze_direction(kernel).direction
+    try:
+        vote = vote_active_agents(sim, kernel, direction)
+    except Exception:
+        vote = None  # no agent plan fits this kernel
+    per_sim, per_ana = {}, {}
+    for scheme in SCHEMES:
+        try:
+            plan = api.cluster(kernel, scheme, gpu=gpu, direction=direction,
+                               active_agents=vote and vote.active_agents)
+        except Exception:
+            continue  # scheme not applicable to this kernel
+        measured = vote and vote.measured(plan, seed=0, warmups=1)
+        per_sim[scheme] = (measured or simulate(sim, kernel, plan)).cycles
+        per_ana[scheme] = estimate(gpu, kernel, plan).cycles
+    return spec.category.value, per_sim, per_ana
+
+
 @pytest.fixture(scope="module")
-def registry_comparison():
+def comparisons():
+    """:func:`compare` for every Table-2 workload on every architecture,
+    computed once for both acceptance scopes below."""
+    from repro.gpu.config import BY_ARCHITECTURE
+    return {gpu.name: [compare(gpu, abbr) for abbr in TABLE2_ORDER]
+            for gpu in BY_ARCHITECTURE.values()}
+
+
+@pytest.fixture(scope="module")
+def registry_comparison(comparisons):
     """(simulated, analytic, class) cycle triples plus winners."""
-    gpu = TESLA_K40
     sims, anas, classes = [], [], []
     winners = []  # (sim_by_scheme, ana_by_scheme) per workload
-    for abbr in TABLE2_ORDER:
-        spec = workload(abbr)
-        kernel = spec.kernel(scale=SCALE, config=gpu)
-        per_sim, per_ana = {}, {}
-        for scheme in SCHEMES:
-            if scheme == "BSL":
-                plan = baseline_plan()
-            else:
-                try:
-                    plan = api.cluster(kernel, scheme, gpu=gpu)
-                except Exception:
-                    continue  # scheme not applicable to this kernel
-            per_sim[scheme] = api.simulate(abbr, gpu.name, plan=plan,
-                                           scale=SCALE).cycles
-            per_ana[scheme] = estimate(gpu, kernel, plan).cycles
+    for category, per_sim, per_ana in comparisons[TESLA_K40.name]:
         sims.extend(per_sim.values())
         anas.extend(per_ana.values())
-        classes.extend([spec.category.value] * len(per_sim))
+        classes.extend([category] * len(per_sim))
         if len(per_sim) >= 2:
             winners.append((per_sim, per_ana))
     return sims, anas, classes, winners
 
 
 @pytest.fixture(scope="module")
-def class_comparison():
+def class_comparison(comparisons):
     """Per-class (simulated, analytic) pairs pooled over *all four*
     architectures — the scope the shipped calibration file covers."""
-    from repro.gpu.config import BY_ARCHITECTURE
     per_class = {}
-    for gpu in BY_ARCHITECTURE.values():
-        for abbr in TABLE2_ORDER:
-            spec = workload(abbr)
-            kernel = spec.kernel(scale=SCALE, config=gpu)
-            for scheme in SCHEMES:
-                if scheme == "BSL":
-                    plan = baseline_plan()
-                else:
-                    try:
-                        plan = api.cluster(kernel, scheme, gpu=gpu)
-                    except Exception:
-                        continue
-                sims, anas = per_class.setdefault(
-                    spec.category.value, ([], []))
-                sims.append(api.simulate(abbr, gpu.name, plan=plan,
-                                         scale=SCALE).cycles)
-                anas.append(estimate(gpu, kernel, plan).cycles)
+    for rows in comparisons.values():
+        for category, per_sim, per_ana in rows:
+            sims, anas = per_class.setdefault(category, ([], []))
+            sims.extend(per_sim.values())
+            anas.extend(per_ana.values())
     return per_class
 
 

@@ -183,3 +183,87 @@ class TestWarmMeasurement:
         warm = simulate(sim, shared_table_kernel, warmups=3)
         assert warm.l1.accesses == single.l1.accesses
         assert warm.ctas_executed == shared_table_kernel.n_ctas
+
+
+class TestCachePairRecycling:
+    def test_simulate_parks_one_reset_pair(self, kepler,
+                                           shared_table_kernel):
+        sim = GpuSimulator(kepler)
+        first = simulate(sim, shared_table_kernel)
+        (pair,) = sim._parked
+        l1s, l2 = pair
+        assert not any(l2._tags)
+        assert all(not any(part._tags) for l1 in l1s for part in l1._parts)
+        assert l2.stats.accesses == 0
+        again = simulate(sim, shared_table_kernel)
+        assert sim._parked == [pair]
+        assert again.cycles == first.cycles
+
+    def test_nested_taker_gets_a_fresh_pair(self, kepler):
+        sim = GpuSimulator(kepler)
+        outer = sim._take_caches()
+        inner = sim._take_caches()
+        assert inner is not outer
+        sim._park_caches(inner)
+        sim._park_caches(outer)
+        assert sim._parked == [inner]
+
+    def test_bare_launch_recycles_the_pair(self, kepler,
+                                          shared_table_kernel):
+        sim = GpuSimulator(kepler)
+        first = sim.run(shared_table_kernel)
+        (pair,) = sim._parked
+        again = sim.run(shared_table_kernel)
+        assert sim._parked == [pair]
+        assert again.cycles == first.cycles
+
+    def test_private_simulator_skips_the_reset(self, kepler,
+                                               shared_table_kernel,
+                                               monkeypatch):
+        parked = []
+        monkeypatch.setattr(GpuSimulator, "_park_caches",
+                            lambda self, caches: parked.append(caches))
+        simulate(kepler, shared_table_kernel)  # builds its own simulator
+        assert parked == []
+        simulate(GpuSimulator(kepler), shared_table_kernel)
+        assert len(parked) == 1
+
+    def test_caller_caches_are_left_alone(self, kepler,
+                                          shared_table_kernel):
+        sim = GpuSimulator(kepler)
+        caches = sim.fresh_caches()
+        simulate(sim, shared_table_kernel, caches=caches)
+        assert sim._parked == []
+        assert caches[1].stats.accesses > 0
+
+    def test_concurrent_callers_never_share_a_pair(self, kepler):
+        import sys
+        import threading
+
+        from repro.gpu.metrics import canonical_metrics
+
+        kernels = [make_row_band_kernel(), make_streaming_kernel()]
+        want = [canonical_metrics(simulate(GpuSimulator(kepler), k))
+                for k in kernels]
+        sim = GpuSimulator(kepler)
+        mismatches = []
+
+        def worker(index):
+            for _ in range(3):
+                got = canonical_metrics(simulate(sim, kernels[index % 2]))
+                if got != want[index % 2]:
+                    mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []

@@ -8,22 +8,19 @@ simulator-dependent and tracked in EXPERIMENTS.md instead).
 
 import pytest
 
-from repro.experiments.evaluation import run_evaluation
 from repro.experiments.schemes import run_all_schemes
 from repro.gpu.config import GTX570, GTX980, GTX1080, TESLA_K40
 from repro.workloads.registry import by_category, workload
 
 
 @pytest.fixture(scope="module")
-def fermi_sweep():
-    return run_evaluation(platforms=(GTX570,), scale=0.4,
-                          use_paper_agents=True)
+def fermi_sweep(fig12_sweep):
+    return fig12_sweep(GTX570)
 
 
 @pytest.fixture(scope="module")
-def maxwell_sweep():
-    return run_evaluation(platforms=(GTX980,), scale=0.4,
-                          use_paper_agents=True)
+def maxwell_sweep(fig12_sweep):
+    return fig12_sweep(GTX980)
 
 
 class TestCacheLineArchitectureSplit:

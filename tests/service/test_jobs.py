@@ -10,7 +10,9 @@ from repro.api import simulate
 from repro.engine import execute
 from repro.gpu.metrics import canonical_metrics
 from repro.service.httpio import HttpError
+from repro.engine.executors import EXECUTORS
 from repro.service.jobs import (
+    ENGINE_KINDS,
     KINDS,
     build_cluster_job,
     build_cotenant_job,
@@ -115,6 +117,15 @@ class TestClusterJob:
             build_cluster_job({"workload": "NN", "gpu": "GTX980",
                                "direction": "Z-P"})
 
+    def test_agents_beyond_occupancy_rejected(self):
+        payload = {"workload": "NN", "gpu": "GTX980", "scheme": "CLU+TOT"}
+        with pytest.raises(HttpError) as excinfo:
+            build_cluster_job({**payload, "active_agents": 999})
+        assert excinfo.value.status == 400
+        assert "active_agents" in excinfo.value.message
+        job = build_cluster_job({**payload, "active_agents": 32})
+        assert execute(job)["active_agents"] == 32
+
 
 class TestSweepJobs:
     def test_mixed_kinds(self):
@@ -167,6 +178,87 @@ class TestSweepJobs:
     def test_empty_list_rejected(self):
         with pytest.raises(HttpError):
             build_sweep_jobs({"jobs": []}, max_jobs=4)
+
+
+class TestEngineKindEntries:
+    """Sweep entries of engine-only kinds are checked at the boundary:
+    malformed ones answer 400 instead of failing in a worker."""
+
+    #: A minimal valid entry per engine-only kind.
+    VALID = {
+        "schemes": {"workload": "NN", "gpu": "GTX980"},
+        "measure": {"workload": "NN", "gpu": "GTX980"},
+        "microbench": {"gpu": "GTX980"},
+        "reuse": {"workload": "NN"},
+        "table2": {"workload": "NN"},
+        "framework": {"workload": "NN", "gpu": "GTX980"},
+    }
+
+    def build(self, entry):
+        return build_sweep_jobs({"jobs": [entry]}, max_jobs=4)
+
+    def rejects(self, entry, field):
+        with pytest.raises(HttpError) as excinfo:
+            self.build(entry)
+        assert excinfo.value.status == 400
+        assert field in excinfo.value.message
+        return excinfo.value
+
+    def test_every_executor_kind_has_a_schema(self):
+        assert set(EXECUTORS) == set(KINDS) | set(ENGINE_KINDS)
+        assert set(self.VALID) == set(ENGINE_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+    def test_valid_entry_builds(self, kind):
+        [job] = self.build({"kind": kind, **self.VALID[kind]})
+        assert job.kind == kind
+
+    @pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+    def test_missing_required_field_is_a_400(self, kind):
+        for field in ENGINE_KINDS[kind].required:
+            entry = {"kind": kind, **self.VALID[kind]}
+            del entry[field]
+            self.rejects(entry, field)
+
+    def test_non_finite_extra_is_a_400(self):
+        self.rejects({"kind": "measure", "workload": "NN", "gpu": "GTX980",
+                      "scale": 0.05, "extras": {
+                          "plan": "clu",
+                          "active_agents": json.loads("NaN")}},
+                     "active_agents")
+
+    def test_unknown_extra_is_a_400(self):
+        error = self.rejects({"kind": "reuse", "workload": "NN",
+                              "extras": {"max_cta": 10}}, "max_cta")
+        assert "max_ctas" in error.message
+
+    @pytest.mark.parametrize("extras, field", [
+        ({"plan": "clu", "active_agents": 999}, "active_agents"),
+        ({"plan": "warp"}, "plan"),
+        ({"direction": "Z-P"}, "direction"),
+        ({"bypass_streams": 1}, "bypass_streams"),
+        ({"tile": [4]}, "tile"),
+        ({"scheduler": "fifo"}, "scheduler"),
+        ({"l1_size": 12345}, "extras"),
+        ({"l1_sectors": 7}, "extras"),
+        ({"hiding_cap": -1.0}, "hiding_cap"),
+        ({"placement": "nearest"}, "placement"),
+    ])
+    def test_bad_measure_extra_is_a_400(self, extras, field):
+        self.rejects({"kind": "measure", "workload": "NN", "gpu": "GTX980",
+                      "extras": extras}, field)
+
+    def test_bad_scheme_list_is_a_400(self):
+        self.rejects({"kind": "schemes", "workload": "NN", "gpu": "GTX980",
+                      "extras": {"schemes": ["CLU", "TOT"]}}, "schemes")
+
+    def test_checked_entry_executes(self):
+        [job] = self.build({"kind": "measure", "workload": "NN",
+                            "gpu": "GTX980", "scale": 0.05, "extras": {
+                                "plan": "clu", "active_agents": 4,
+                                "tile": [2, 2], "scheduler": "round-robin",
+                                "hiding_cap": 8.5}})
+        assert execute(job).scheme == "CLU+TOT"
 
 
 class TestJsonable:

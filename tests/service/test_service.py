@@ -341,14 +341,29 @@ class TestErrors:
         assert "deadline_s" in error["message"]
         client.close()
 
-    def test_executor_failure_is_structured_500(self, service_factory):
+    def test_executor_failure_is_structured_500(self, service_factory,
+                                                monkeypatch):
+        from repro.engine.executors import EXECUTORS
+
+        def broken(job):
+            raise RuntimeError("executor broke")
+
+        # A well-formed request whose executor genuinely fails.
+        monkeypatch.setitem(EXECUTORS, "reuse", broken)
         client = service_factory(workers=0, cache=False).client()
         with pytest.raises(ServiceError) as excinfo:
-            # `reuse` with no workload passes shape validation but the
-            # executor cannot resolve it — the structured-500 path.
-            client.sweep([{"kind": "reuse"}])
+            client.sweep([{"kind": "reuse", "workload": "NN"}])
         assert excinfo.value.status == 500
         assert excinfo.value.code == "job_failed"
+        assert "executor broke" in str(excinfo.value)
+        client.close()
+
+    def test_malformed_engine_kind_entry_is_400(self, service_factory):
+        client = service_factory(workers=0, cache=False).client()
+        with pytest.raises(ServiceError) as excinfo:
+            client.sweep([{"kind": "reuse"}])
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
         client.close()
 
 

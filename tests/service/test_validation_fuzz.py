@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.engine.job import SimJob
 from repro.service.httpio import HttpError
-from repro.service.jobs import KINDS, build_sweep_jobs
+from repro.service.jobs import ENGINE_KINDS, KINDS, build_sweep_jobs
 
 #: One valid request per served kind: the fuzzer starts from these
 #: and breaks a few fields, so most cases get past the first checks.
@@ -127,3 +127,43 @@ def test_every_kind_builder_answers_4xx_or_a_job(data, kind, cap):
 @given(payload=sweeps)
 def test_sweep_builder_answers_4xx_or_jobs(payload):
     check(lambda: build_sweep_jobs(payload, max_jobs=4, max_tune_budget=8))
+
+
+#: One valid sweep entry per engine-only kind, with every extra its
+#: schema accepts, so breaking one reaches that extra's check.
+ENGINE_VALID = {
+    "schemes": {"workload": "NN", "gpu": "GTX980", "extras": {
+        "use_paper_agents": True, "l2_divisor": 2, "schemes": ["CLU"]}},
+    "measure": {"workload": "NN", "gpu": "GTX980", "extras": {
+        "plan": "clu", "direction": "Y-P", "active_agents": 2,
+        "bypass_streams": False, "tile": [2, 2], "scheduler": "observed",
+        "hiding_cap": 8.0, "join_stagger": 6, "l1_size": 49152,
+        "l1_sectors": 2, "l2_divisor": 2, "topology": "2-chiplet",
+        "placement": "local-first"}},
+    "microbench": {"gpu": "GTX980", "extras": {"staggered": True,
+                                               "scheduler": "observed"}},
+    "reuse": {"workload": "NN", "extras": {"max_ctas": 10}},
+    "table2": {"workload": "NN", "extras": {}},
+    "framework": {"workload": "NN", "gpu": "GTX980", "extras": {}},
+}
+
+
+def engine_entry(kind: str):
+    """A fuzzed entry of one engine-only kind: top-level fields or
+    extras broken."""
+    base = ENGINE_VALID[kind]
+    extras = base["extras"]
+    names = sorted(set(extras) | set(ENGINE_KINDS[kind].extras)) or ["bogus"]
+    broken_extras = broken(extras, {name: field_value
+                                    for name in [*names, "bogus"]})
+    return st.one_of(
+        broken({"kind": kind, **base}, FIELD_VALUES),
+        broken_extras.map(lambda fuzzed: {"kind": kind, **base,
+                                          "extras": fuzzed}))
+
+
+@FUZZ
+@given(data=st.data(), kind=st.sampled_from(sorted(ENGINE_KINDS)))
+def test_engine_kind_entries_answer_4xx_or_a_job(data, kind):
+    entry = data.draw(engine_entry(kind))
+    check(lambda: build_sweep_jobs({"jobs": [entry]}, max_jobs=4))
