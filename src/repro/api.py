@@ -162,31 +162,59 @@ def cluster(kernel, scheme: str = "CLU", *, gpu,
     binding on a multi-chiplet platform — a no-op on flat dies and for
     ``BSL``/``RD``.
     """
-    if scheme not in SCHEMES:
-        raise KeyError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
-    resolve_placement(placement)  # fail early on a bad policy name
+    _check_scheme(scheme, placement)
     simulator, config = _resolve_config(gpu)
     kernel, _ = _resolve_kernel(kernel, config, scale=1.0)
+    plan, _vote = _plan_scheme(kernel, scheme, simulator, config,
+                               direction=direction,
+                               active_agents=active_agents,
+                               placement=placement)
+    return plan
+
+
+def _check_scheme(scheme: str, placement: "str | None") -> None:
+    """Fail early on an unknown scheme or placement-policy name."""
+    if scheme not in SCHEMES:
+        raise KeyError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
+    resolve_placement(placement)
+
+
+def _plan_scheme(kernel: KernelSpec, scheme: str, simulator, config, *,
+                 direction=None, active_agents: int = None,
+                 placement: str = None):
+    """:func:`cluster`'s planner, for a resolved kernel and platform.
+
+    A throttling vote runs on ``simulator`` (a fresh one on ``config``
+    if ``None``).  Returns ``(plan, vote)``, where ``vote`` is the
+    :class:`~repro.core.throttling.ThrottleVote`, or ``None`` when no
+    vote ran.
+    """
     if scheme == "BSL":
-        return baseline_plan()
+        return baseline_plan(), None
     part = direction if direction is not None \
         else analyze_direction(kernel).direction
     if scheme == "RD":
-        return redirection_plan(kernel, config, part)
+        return redirection_plan(kernel, config, part), None
     if scheme == "CLU":
         return agent_plan(kernel, config, part, scheme="CLU",
-                          placement=placement)
+                          placement=placement), None
+    vote = None
     if active_agents is None:
-        sim = simulator if simulator is not None else GpuSimulator(config)
-        active_agents = vote_active_agents(sim, kernel, part).active_agents
+        if simulator is None:
+            simulator = GpuSimulator(config)
+        vote = vote_active_agents(simulator, kernel, part)
+        active_agents = vote.active_agents
     if scheme == "CLU+TOT":
-        return agent_plan(kernel, config, part, active_agents=active_agents,
+        plan = agent_plan(kernel, config, part, active_agents=active_agents,
                           scheme="CLU+TOT", placement=placement)
-    if scheme == "CLU+TOT+BPS":
-        return agent_plan(kernel, config, part, active_agents=active_agents,
+    elif scheme == "CLU+TOT+BPS":
+        plan = agent_plan(kernel, config, part, active_agents=active_agents,
                           bypass_streams=True, scheme="CLU+TOT+BPS",
                           placement=placement)
-    return prefetch_plan(kernel, config, part, active_agents=active_agents)
+    else:
+        plan = prefetch_plan(kernel, config, part,
+                             active_agents=active_agents)
+    return plan, vote
 
 
 def simulate(workload, gpu, *, scheme: str = None, plan: ExecutionPlan = None,
@@ -208,7 +236,10 @@ def simulate(workload, gpu, *, scheme: str = None, plan: ExecutionPlan = None,
     Runs ``warmups`` warm-up launches with preserved cache contents,
     then measures — the paper's methodology.  ``tracer`` (a
     :class:`repro.Tracer`) observes the measured launch only and never
-    changes the returned metrics.
+    changes the returned metrics.  A throttled scheme's vote already
+    measures its candidate plans; when the planned one is among them
+    (same seed, warm-ups and core, no tracer, no per-CTA records) that
+    run is returned instead of a second, identical one.
 
     ``fast`` selects the simulation core (default: the fast flat-array
     path; ``REPRO_FAST_MODEL=0`` flips the process default).  Fast and
@@ -248,8 +279,19 @@ def simulate(workload, gpu, *, scheme: str = None, plan: ExecutionPlan = None,
         config = apply_topology(config, topology)
     kernel, _ = _resolve_kernel(workload, config, scale=scale)
     if plan is None and scheme is not None and scheme != "BSL":
-        plan = cluster(kernel, scheme, gpu=simulator or config, seed=seed,
-                       placement=placement)
+        _check_scheme(scheme, placement)
+        voter = simulator if simulator is not None else GpuSimulator(config)
+        plan, vote = _plan_scheme(kernel, scheme, voter, config,
+                                  placement=placement)
+        # The vote already ran each candidate plan; take that run when
+        # it is this plan, seed and warm-up count on this core, with
+        # nothing to trace or record per CTA.
+        if (vote is not None and tracer is None and voter.tracer is None
+                and not record_per_cta
+                and (fast is None or bool(fast) == voter.fast)):
+            measured = vote.measured(plan, seed, warmups)
+            if measured is not None:
+                return measured
     return _simulate_kernel(simulator if simulator is not None else config,
                             kernel, plan, seed=seed, warmups=warmups,
                             record_per_cta=record_per_cta, tracer=tracer,

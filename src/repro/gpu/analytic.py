@@ -142,6 +142,9 @@ class _CtaProfile:
     write_l2: int = 0                 # write-through L2 transactions
     l2_lines: frozenset = frozenset()  # distinct L2 lines, all traffic
     head_lines: dict = field(default_factory=dict)
+    #: (block_bytes, chiplets) -> count of ``l2_lines`` per owning
+    #: chiplet (see :func:`_owned_lines`).
+    owned: dict = field(default_factory=dict)
 
 
 _PROFILE_CACHE: dict = {}
@@ -234,6 +237,17 @@ def _head_lines(kernel: KernelSpec, profile: _CtaProfile, cta_id: int,
         lines = frozenset(touched)
         profile.head_lines[depth] = lines
     return lines
+
+
+def _owned_lines(profile: _CtaProfile, topo, l2_line: int) -> tuple:
+    """Per-chiplet counts of a CTA's distinct L2 lines, memoized on
+    its profile (whose table is already per line geometry)."""
+    key = (topo.block_bytes, topo.chiplets)
+    owned = profile.owned.get(key)
+    if owned is None:
+        owned = tuple(map(len, topo.owner_split(profile.l2_lines, l2_line)))
+        profile.owned[key] = owned
+    return owned
 
 
 # ----------------------------------------------------------------------
@@ -401,9 +415,8 @@ def estimate(gpu: GpuConfig, kernel: KernelSpec,
             home = topo.chiplet_of_sm(sm, config.num_sms)
             for p in profiles:
                 numa_lines += len(p.l2_lines)
-                numa_remote += sum(
-                    1 for line in p.l2_lines
-                    if topo.owner_of_line(line, l2_line) != home)
+                numa_remote += len(p.l2_lines) \
+                    - _owned_lines(p, topo, l2_line)[home]
         for v, p in zip(cta_ids, profiles):
             if v not in sampled_ids:
                 sampled_ids.add(v)

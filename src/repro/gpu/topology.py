@@ -107,9 +107,25 @@ class ChipletTopology:
         """Chiplet owning an L2 line, given the line *number*.
 
         Consistent with :meth:`owner_of_addr` because ``block_bytes``
-        is a multiple of every modeled line size.
+        is a multiple of every modeled line size (:func:`chiplet_variant`
+        rejects any other block size).
         """
         return (line * line_bytes // self.block_bytes) % self.chiplets
+
+    def owner_split(self, lines, line_bytes: int) -> "tuple[frozenset, ...]":
+        """Distinct L2 lines grouped by owning chiplet.
+
+        ``lines`` is any iterable of line numbers (repeats allowed);
+        entry ``k`` of the result is the set of those lines that
+        :meth:`owner_of_line` assigns to chiplet ``k``.  Pure in
+        ``(lines, line_bytes, block_bytes, chiplets)``, so callers
+        memoize it per CTA footprint instead of pricing line by line.
+        """
+        block, chiplets = self.block_bytes, self.chiplets
+        split = [set() for _ in range(chiplets)]
+        for line in lines:
+            split[line * line_bytes // block % chiplets].add(line)
+        return tuple(map(frozenset, split))
 
     def describe(self) -> dict:
         """JSON-stable digest (engine extras, plan notes, reports)."""
@@ -139,6 +155,13 @@ def chiplet_variant(base, chiplets: int, *, hop_latency: float = None,
         raise ValueError(f"chiplets must be >= 1, got {chiplets}")
     if chiplets == 1:
         return base
+    block_bytes = page_size * block_pages
+    if block_bytes < 1 or block_bytes % base.l1_line \
+            or block_bytes % base.l2_line:
+        raise ValueError(
+            f"page_size * block_pages = {block_bytes} bytes must be a "
+            f"positive multiple of {base.name}'s {base.l1_line}-byte L1 "
+            f"and {base.l2_line}-byte L2 lines")
     topo = ChipletTopology(
         chiplets=chiplets,
         hop_latency=ChipletTopology.hop_latency if hop_latency is None
@@ -150,17 +173,24 @@ def chiplet_variant(base, chiplets: int, *, hop_latency: float = None,
 
 
 def _cluster_affinity(tasks, kernel, config, topo) -> "dict[int, int]":
-    """Distinct-L2-line footprint of one cluster, per owning chiplet."""
-    lines_by_owner = {}
-    seen = set()
-    for cta in tasks:
-        for op in kernel.compiled_trace(cta, config.l1_line, config.l2_line):
-            for line in op[3]:
-                if line not in seen:
-                    seen.add(line)
-                    owner = topo.owner_of_line(line, config.l2_line)
-                    lines_by_owner[owner] = lines_by_owner.get(owner, 0) + 1
-    return lines_by_owner
+    """Distinct-L2-line footprint of one cluster, per owning chiplet.
+
+    Each CTA's footprint (the union of its compiled ops' L2 lines,
+    ``op[3]``) is split by owner once per (line geometry, topology)
+    and memoized on the kernel (:meth:`KernelSpec.footprint_by_owner`);
+    a cluster's count for chiplet ``k`` is the size of the union of
+    its CTAs' chiplet-``k`` sets, so a line two CTAs share counts
+    once.  Chiplets owning none of the footprint are left out.
+    """
+    splits = [kernel.footprint_by_owner(cta, config.l1_line,
+                                        config.l2_line, topo)
+              for cta in tasks]
+    affinity = {}
+    for owner in range(topo.chiplets):
+        count = len(frozenset().union(*[split[owner] for split in splits]))
+        if count:
+            affinity[owner] = count
+    return affinity
 
 
 def _static_remote(assignment, affinities) -> int:

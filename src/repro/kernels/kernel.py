@@ -14,6 +14,7 @@ import enum
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 from repro.kernels.access import WarpAccess, compile_trace
@@ -185,6 +186,11 @@ class KernelSpec:
         default=None, init=False, repr=False, compare=False)
     _op_intern: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
+    #: LRU of (linear id, l1_line, l2_line, block_bytes, chiplets) ->
+    #: the CTA's L2 footprint split by owning chiplet; same bound and
+    #: per-instance privacy as ``_compiled_memo``.
+    _owner_memo: "OrderedDict | None" = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n_ctas(self) -> int:
@@ -256,6 +262,33 @@ class KernelSpec:
         if len(memo) > TRACE_CACHE_CTAS:
             memo.popitem(last=False)
         return compiled
+
+    def footprint_by_owner(self, linear_id: int, l1_line: int, l2_line: int,
+                           topo) -> "tuple[frozenset, ...]":
+        """One CTA's distinct L2 lines grouped by owning chiplet.
+
+        The footprint is the union of the compiled ops' L2 lines
+        (``op[3]``), split by ``topo.owner_split``.  Ownership depends
+        on the topology only through ``block_bytes`` and ``chiplets``,
+        so that pair keys the memo (bounded like
+        :meth:`compiled_trace`): every placement of this kernel on one
+        package splits each CTA once.
+        """
+        memo = self._owner_memo
+        if memo is None:
+            memo = self._owner_memo = OrderedDict()
+        key = (linear_id, l1_line, l2_line, topo.block_bytes, topo.chiplets)
+        split = memo.get(key)
+        if split is not None:
+            memo.move_to_end(key)
+            return split
+        ops = self.compiled_trace(linear_id, l1_line, l2_line)
+        split = topo.owner_split(chain.from_iterable(op[3] for op in ops),
+                                 l2_line)
+        memo[key] = split
+        if len(memo) > TRACE_CACHE_CTAS:
+            memo.popitem(last=False)
+        return split
 
     def reads_and_writes_same_array(self) -> bool:
         """Whether some array is both read and written (write-related hint)."""

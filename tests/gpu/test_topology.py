@@ -3,20 +3,23 @@ bijections, page-ownership consistency and local-traffic accounting.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.gpu.config import GTX980, TESLA_K40, platform
+from repro.gpu import analytic, topology
+from repro.gpu.config import GTX980, GTX1080, TESLA_K40, platform
 from repro.gpu.metrics import canonical_metrics
-from repro.gpu.plan import ExecutionPlan
+from repro.gpu.plan import ExecutionPlan, baseline_plan
 from repro.gpu.simulator import simulate
 from repro.gpu.topology import (
     ChipletTopology,
     PLACEMENTS,
     TOPOLOGIES,
+    _cluster_affinity,
     _greedy_assignment,
     chiplet_variant,
     place_tasks,
@@ -24,7 +27,7 @@ from repro.gpu.topology import (
 )
 from repro.kernels.access import read
 from repro.kernels.kernel import AddressSpace, Dim3, KernelSpec
-from repro.workloads.registry import workload
+from repro.workloads.registry import all_workloads, workload
 
 
 class TestTopologyBasics:
@@ -68,6 +71,140 @@ class TestTopologyBasics:
         topo = ChipletTopology(chiplets=chiplets)
         assert topo.owner_of_line(line, line_bytes) == \
             topo.owner_of_addr(line * line_bytes)
+
+    @given(lines=st.lists(st.integers(0, 1 << 20), max_size=60),
+           line_bytes=st.sampled_from((32, 128)),
+           chiplets=st.sampled_from((2, 3, 4)),
+           block_pages=st.sampled_from((1, 2, 64)))
+    @settings(max_examples=50, deadline=None)
+    def test_owner_split_is_owner_of_line(self, lines, line_bytes,
+                                          chiplets, block_pages):
+        topo = ChipletTopology(chiplets=chiplets, block_pages=block_pages)
+        split = topo.owner_split(iter(lines), line_bytes)
+        assert len(split) == chiplets
+        for owner, owned in enumerate(split):
+            assert owned == {line for line in lines
+                             if topo.owner_of_line(line, line_bytes) == owner}
+
+
+class TestChipletVariantValidation:
+    """Ownership blocks must hold whole L1 and L2 lines: both cores
+    and the ownership map assume a line never straddles two blocks."""
+
+    @pytest.mark.parametrize("base, page_size, block_pages", [
+        (GTX980, 16, 1), (GTX980, 100, 1), (GTX980, 50, 2),
+        (TESLA_K40, 64, 1), (TESLA_K40, 96, 3)])
+    def test_block_not_a_multiple_of_both_lines_is_rejected(
+            self, base, page_size, block_pages):
+        with pytest.raises(ValueError, match="multiple"):
+            chiplet_variant(base, 2, page_size=page_size,
+                            block_pages=block_pages)
+
+    def test_facade_rejects_it_before_simulating(self):
+        with pytest.raises(ValueError, match="multiple"):
+            api.simulate("NN", "GTX980", scheme="CLU", scale=0.05,
+                         topology=ChipletTopology(chiplets=2, page_size=16,
+                                                  block_pages=1))
+
+    @pytest.mark.parametrize("base, page_size", [(GTX980, 32),
+                                                 (TESLA_K40, 128)])
+    def test_smallest_whole_line_block_is_accepted(self, base, page_size):
+        config = chiplet_variant(base, 2, page_size=page_size, block_pages=1)
+        assert config.topology.block_bytes == page_size
+
+    def test_one_chiplet_is_never_validated(self):
+        assert chiplet_variant(GTX980, 1, page_size=16,
+                               block_pages=1) is GTX980
+
+
+def _per_line_affinity(tasks, kernel, config, topo):
+    """The direct definition: every line of every op, priced once."""
+    lines_by_owner = {}
+    seen = set()
+    for cta in tasks:
+        for op in kernel.compiled_trace(cta, config.l1_line, config.l2_line):
+            for line in op[3]:
+                if line not in seen:
+                    seen.add(line)
+                    owner = topo.owner_of_line(line, config.l2_line)
+                    lines_by_owner[owner] = lines_by_owner.get(owner, 0) + 1
+    return lines_by_owner
+
+
+def _per_line_owned(profile, topo, l2_line):
+    """Unmemoized per-chiplet counts of a profile's L2 lines."""
+    counts = [0] * topo.chiplets
+    for line in profile.l2_lines:
+        counts[topo.owner_of_line(line, l2_line)] += 1
+    return tuple(counts)
+
+
+def assert_split_matches_definition(kernel, config, policy):
+    """Memoized ownership == per-line ownership, at every use site:
+    cluster affinities, the placed binding and rung-0 estimates."""
+    topo = config.topology
+    flat = api.cluster(kernel, "CLU", gpu=config)
+    for tasks in flat.sm_tasks:
+        assert _cluster_affinity(tasks, kernel, config, topo) == \
+            _per_line_affinity(tasks, kernel, config, topo)
+    placed = api.cluster(kernel, "CLU", gpu=config, placement=policy)
+    with mock.patch.object(topology, "_cluster_affinity",
+                           _per_line_affinity):
+        oracle = api.cluster(kernel, "CLU", gpu=config, placement=policy)
+    assert placed.sm_tasks == oracle.sm_tasks
+    for plan in (baseline_plan(), placed):
+        got = analytic.estimate(config, kernel, plan)
+        with mock.patch.object(analytic, "_owned_lines", _per_line_owned):
+            want = analytic.estimate(config, kernel, plan)
+        assert repr(got) == repr(want)
+
+
+class TestOwnerSplitMatchesDefinition:
+    """Chiplet ownership is split once per CTA footprint and memoized
+    per (line geometry, block_bytes, chiplets); every result built on
+    it must equal the per-line definition it replaced."""
+
+    @given(abbr=st.sampled_from([w.abbr for w in all_workloads()]),
+           base=st.sampled_from((GTX980, GTX1080)),
+           chiplets=st.sampled_from((2, 4)),
+           page_size=st.sampled_from((128, 512, 4096)),
+           block_pages=st.sampled_from((1, 4, 64)),
+           l2_divisor=st.sampled_from((1, 16)),
+           policy=st.sampled_from(("local-first", "balanced")))
+    @settings(max_examples=30, deadline=None)
+    def test_registry_kernels(self, abbr, base, chiplets, page_size,
+                              block_pages, l2_divisor, policy):
+        # Registry kernels are shared instances, so their memos carry
+        # over between examples with different topologies.
+        config = chiplet_variant(base, chiplets, page_size=page_size,
+                                 block_pages=block_pages)
+        config = config.with_scaled_l2(l2_divisor)
+        kernel = workload(abbr).kernel(scale=0.15, config=config)
+        assert_split_matches_definition(kernel, config, policy)
+
+    @staticmethod
+    def fresh_kernel(abbr, config):
+        """A kernel copy with empty memos and its own profile table."""
+        return dataclasses.replace(
+            workload(abbr).kernel(scale=0.2, config=config))
+
+    # The shrunken L2 makes DRAM traffic, without which the estimates
+    # carry no remote term to compare.
+    @pytest.mark.parametrize("policy", ["local-first", "balanced"])
+    def test_same_kernel_on_two_then_four_chiplets(self, policy):
+        kernel = self.fresh_kernel("HST", GTX980)
+        for name in ("GTX980x2", "GTX980x4"):
+            config = platform(name).with_scaled_l2(16)
+            assert_split_matches_definition(kernel, config, policy)
+
+    @pytest.mark.parametrize("policy", ["local-first", "balanced"])
+    def test_same_kernel_under_two_block_sizes(self, policy):
+        kernel = self.fresh_kernel("BKP", GTX980)
+        for block_pages in (64, 1):
+            config = chiplet_variant(GTX980, 2, page_size=512,
+                                     block_pages=block_pages)
+            assert_split_matches_definition(
+                kernel, config.with_scaled_l2(16), policy)
 
 
 class TestTrivialPackageBitIdentity:

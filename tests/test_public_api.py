@@ -88,6 +88,100 @@ class TestFacadeSimulate:
             repro.simulate("NN", 42)
 
 
+class TestSimulateReusesVote:
+    """A throttled ``simulate(scheme=...)`` measures its plan once.
+
+    Counts launches, never time: the throttling vote measures every
+    candidate degree (a warm-up and a measured launch each), and when
+    the planned plan is one of them under the same seed, warm-ups and
+    core, with nothing to trace or record per CTA, ``simulate`` returns
+    that run instead of launching the same plan twice more.
+    """
+
+    SCALE = 0.2
+
+    @pytest.fixture
+    def launches(self, monkeypatch):
+        from repro.gpu.simulator import GpuSimulator
+        counts = {"run": 0}
+        run = GpuSimulator.run
+
+        def counting_run(self, *args, **kwargs):
+            counts["run"] += 1
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(GpuSimulator, "run", counting_run)
+        return counts
+
+    def vote_launches(self, abbr, config):
+        from repro.core.throttling import throttle_candidates
+        from repro.gpu.occupancy import max_ctas_per_sm
+        kernel = repro.workload(abbr).kernel(scale=self.SCALE, config=config)
+        return 2 * len(throttle_candidates(max_ctas_per_sm(config, kernel)))
+
+    def direct(self, abbr, config, scheme, **kwargs):
+        """``simulate(plan=...)`` of the plan ``cluster`` builds."""
+        kernel = repro.workload(abbr).kernel(scale=self.SCALE, config=config)
+        plan = repro.cluster(kernel, scheme, gpu=config)
+        return repro.simulate(kernel, config, plan=plan, **kwargs)
+
+    @pytest.mark.parametrize("abbr, gpu", [("KMN", "Tesla K40"),
+                                           ("NN", "GTX980")])
+    def test_default_call_takes_the_vote_run(self, launches, abbr, gpu):
+        from repro.gpu.config import PLATFORMS
+        from repro.gpu.metrics import canonical_metrics
+        config = PLATFORMS[gpu]
+        got = repro.simulate(abbr, gpu, scheme="CLU+TOT", scale=self.SCALE)
+        assert launches["run"] == self.vote_launches(abbr, config)
+        assert got.scheme == "CLU+TOT"
+        assert canonical_metrics(got) == canonical_metrics(
+            self.direct(abbr, config, "CLU+TOT"))
+
+    def test_prepared_simulator_takes_the_vote_run(self, launches):
+        config = repro.TESLA_K40
+        sim = repro.GpuSimulator(config)
+        repro.simulate("KMN", sim, scheme="CLU+TOT", scale=self.SCALE)
+        assert launches["run"] == self.vote_launches("KMN", config)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1}, {"warmups": 2}, {"record_per_cta": True},
+        {"tracer": "tracer"}, {"fast": "other core"}],
+        ids=["seed=1", "warmups=2", "per-cta", "tracer", "other-core"])
+    def test_other_calls_measure_again(self, launches, kwargs):
+        from repro.gpu.cache import default_fast
+        from repro.gpu.metrics import canonical_metrics
+        kwargs = dict(kwargs)
+        if "tracer" in kwargs:
+            kwargs["tracer"] = repro.RecordingTracer()
+        if "fast" in kwargs:
+            # The vote runs on the default core; the other core must
+            # really run, or the differential suite compares one core
+            # with itself.
+            kwargs["fast"] = not default_fast()
+        config = repro.TESLA_K40
+        got = repro.simulate("KMN", config, scheme="CLU+TOT",
+                             scale=self.SCALE, **kwargs)
+        measured = 1 + kwargs.get("warmups", 1)
+        assert launches["run"] == self.vote_launches("KMN", config) \
+            + measured
+        kwargs.pop("tracer", None)
+        assert canonical_metrics(got) == canonical_metrics(
+            self.direct("KMN", config, "CLU+TOT", **kwargs))
+
+    def test_prepared_simulator_with_a_tracer_measures_again(self,
+                                                             launches):
+        config = repro.TESLA_K40
+        sim = repro.GpuSimulator(config, tracer=repro.RecordingTracer())
+        repro.simulate("KMN", sim, scheme="CLU+TOT", scale=self.SCALE)
+        assert launches["run"] == self.vote_launches("KMN", config) + 2
+
+    def test_plan_outside_the_vote_measures_again(self, launches):
+        """The vote never runs with bypass, so BPS always launches."""
+        config = repro.TESLA_K40
+        repro.simulate("KMN", config, scheme="CLU+TOT+BPS", scale=self.SCALE)
+        assert launches["run"] == self.vote_launches("KMN", config) + 2
+
+
 class TestFacadeEstimate:
     def test_estimate_is_rung_zero(self):
         guess = repro.estimate("NN", "Tesla K40", scale=0.3, scheme="CLU")

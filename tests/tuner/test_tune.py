@@ -124,3 +124,50 @@ class TestProfileIntegration:
         err = capsys.readouterr().err
         assert "[tune:hillclimb]" in err
         assert "warm start" in err
+
+
+class TestOwnershipWork:
+    """A chiplet tune splits each CTA's footprint by owning chiplet
+    once per (line geometry, topology) at each pricing site, however
+    many plans it places and estimates.  Counts calls, never time."""
+
+    def test_grid_tune_splits_each_footprint_once(self, monkeypatch):
+        import sys
+        from collections import Counter
+
+        from repro.engine import SweepRunner
+        from repro.gpu import topology
+        from repro.workloads.registry import workload
+
+        # Registry kernels are shared instances: start from cold memos.
+        monkeypatch.setitem(vars(workload("HST")), "_kernel_cache", {})
+        splits = Counter()
+        affinities = Counter()
+        owner_split = topology.ChipletTopology.owner_split
+        cluster_affinity = topology._cluster_affinity
+
+        def counting_split(self, lines, line_bytes):
+            lines = list(lines)
+            site = sys._getframe(1).f_code.co_name
+            splits[(site, frozenset(lines), line_bytes, self.block_bytes,
+                    self.chiplets)] += 1
+            return owner_split(self, lines, line_bytes)
+
+        def counting_affinity(tasks, kernel, config, topo):
+            affinities[kernel.name] += 1
+            return cluster_affinity(tasks, kernel, config, topo)
+
+        monkeypatch.setattr(topology.ChipletTopology, "owner_split",
+                            counting_split)
+        monkeypatch.setattr(topology, "_cluster_affinity", counting_affinity)
+        result = tune("HST", "GTX980x2", strategy="grid", budget=8,
+                      scale=0.2, seed=0, runner=SweepRunner(memo=True))
+        assert result.best.score <= result.baseline.score
+        assert {key[0] for key in splits} == {"footprint_by_owner",
+                                              "_owned_lines"}
+        assert max(splits.values()) == 1
+        # Many placed plans walk the same clusters: per-plan splitting
+        # would repeat every key above.
+        placing = sum(affinities.values())
+        assert placing > 4 * sum(1 for key in splits
+                                 if key[0] == "footprint_by_owner")
