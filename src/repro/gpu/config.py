@@ -147,11 +147,14 @@ class GpuConfig:
         same factor preserves the working-set-to-L2 ratio that governs
         whether a baseline miss is served by L2 or DRAM.  Per-SM L1
         sizes are kept real because the per-CTA footprints are modeled
-        at real scale.
+        at real scale.  The size rounds down to whole kilobytes, so a
+        divisor that does not divide the L2 (three tenants' slices of a
+        2 MB L2) still leaves whole cache sets.
         """
         if divisor < 1:
             raise ValueError("divisor must be >= 1")
-        return replace(self, l2_size=max(32 * KB, self.l2_size // divisor))
+        return replace(self, l2_size=max(32 * KB,
+                                         self.l2_size // divisor // KB * KB))
 
     def with_l1_size(self, size: int) -> "GpuConfig":
         """Return a copy configured with a different L1 size.

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.gpu.cache import make_l2
 from repro.gpu.config import (
     Architecture, BY_ARCHITECTURE, EVALUATION_PLATFORMS, GTX570, GTX750TI,
     GTX980, GTX1080, KB, PLATFORMS, TESLA_K40, WritePolicy, platform)
@@ -141,6 +142,13 @@ class TestConfigOperations:
     def test_with_scaled_l2_floor(self):
         tiny = GTX570.with_scaled_l2(10_000)
         assert tiny.l2_size == 32 * KB
+
+    def test_with_scaled_l2_keeps_whole_sets(self):
+        # 2 MB / 3 is not a whole number of 256-byte L2 sets.
+        shrunk = GTX980.with_scaled_l2(3)
+        assert shrunk.l2_size == 682 * KB
+        for fast in (True, False):
+            assert make_l2(shrunk, fast=fast).n_sets == 682 * KB // 256
 
     def test_with_scaled_l2_invalid(self):
         with pytest.raises(ValueError):
