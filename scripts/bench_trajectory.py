@@ -127,6 +127,34 @@ def _measure_fastpath(passes: int) -> dict:
     }
 
 
+def _measure_jobs(schemes, *, scale: float) -> list:
+    """``measure`` jobs running each named scheme of the smoke matrix.
+
+    Each job names its scheme's plan kind and bypass from the scheme
+    table; a throttled scheme runs at the paper's Table-2 degree, as
+    the smoke matrix's ``use_paper_agents`` cells do, since a
+    ``measure`` job takes its degree explicitly.
+    """
+    from repro.core.planner import SCHEME_TABLE
+    from repro.engine import measure_job
+    from repro.experiments.schemes import throttle_vote
+    from repro.workloads.registry import workload
+
+    jobs = []
+    for abbr in WORKLOADS:
+        spec = workload(abbr)
+        vote = throttle_vote(spec, spec.kernel(scale=scale, config=TESLA_K40),
+                             TESLA_K40, use_paper_value=True)
+        for scheme in schemes:
+            entry = SCHEME_TABLE[scheme]
+            jobs.append(measure_job(
+                abbr, TESLA_K40.name, plan=entry.kind, scheme=scheme,
+                scale=scale, seed=0, bypass_streams=entry.bypass,
+                active_agents=vote.active_agents if entry.throttled
+                else None))
+    return jobs
+
+
 def _measure_analytic(passes: int) -> dict:
     """Warm per-decision cost: rung-0 estimate vs fast-path simulation.
 
@@ -139,18 +167,15 @@ def _measure_analytic(passes: int) -> dict:
     samples a bounded set, so the shrunken smoke-matrix scale would
     understate the ratio tuning actually sees.
     """
-    from repro.engine import estimate_job, execute, measure_job
-
-    def matrix(builder):
-        return [builder(abbr, TESLA_K40.name,
-                        scheme=None if scheme == "BSL" else scheme,
-                        scale=1.0, seed=0)
-                for abbr in WORKLOADS for scheme in SCHEMES]
+    from repro.engine import estimate_job, execute
 
     seconds = {}
-    for label, builder in (("simulated", measure_job),
-                           ("analytic", estimate_job)):
-        jobs = matrix(builder)
+    for label, jobs in (
+            ("simulated", _measure_jobs(SCHEMES, scale=1.0)),
+            ("analytic", [estimate_job(abbr, TESLA_K40.name,
+                                       scheme=None if s == "BSL" else s,
+                                       scale=1.0, seed=0)
+                          for abbr in WORKLOADS for s in SCHEMES])):
         for job in jobs:
             execute(job)  # warm traces / compiled streams
         best = float("inf")
@@ -243,7 +268,7 @@ def _measure_bound(passes: int) -> dict:
     (workload, scheme) decision against one ``bound`` execution per
     workload — at scale 1.0, the tuner's operating point.
     """
-    from repro.engine import bound_job, execute, measure_job
+    from repro.engine import bound_job, execute
 
     # The calibration scheme spread — the candidate axis a real tuner
     # cell actually prices per workload.
@@ -251,10 +276,7 @@ def _measure_bound(passes: int) -> dict:
     decisions = len(WORKLOADS) * len(schemes)
     seconds = {}
     for label, jobs in (
-            ("simulated", [measure_job(abbr, TESLA_K40.name,
-                                       scheme=None if s == "BSL" else s,
-                                       scale=1.0, seed=0)
-                           for abbr in WORKLOADS for s in schemes]),
+            ("simulated", _measure_jobs(schemes, scale=1.0)),
             ("bound", [bound_job(abbr, TESLA_K40.name, scale=1.0)
                        for abbr in WORKLOADS])):
         for job in jobs:

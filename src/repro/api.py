@@ -49,16 +49,14 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.agent import agent_plan
 from repro.core.dependence import analyze_direction
-from repro.core.prefetch import prefetch_plan
-from repro.core.redirection import redirection_plan
+from repro.core.planner import SCHEME_TABLE, SCHEMES, build_plan
 from repro.core.throttling import vote_active_agents
 from repro.fidelity import FIDELITIES, FULL, Fidelity, resolve_fidelity
 from repro.gpu.analytic import AnalyticEstimate
 from repro.gpu.config import GpuConfig, PLATFORMS
 from repro.gpu.metrics import KernelMetrics
-from repro.gpu.plan import ExecutionPlan, baseline_plan
+from repro.gpu.plan import ExecutionPlan
 from repro.gpu.simulator import GpuSimulator
 from repro.gpu.simulator import simulate as _simulate_kernel
 from repro.kernels.kernel import KernelSpec
@@ -67,9 +65,6 @@ from repro.gpu.topology import (ChipletTopology, TOPOLOGIES, chiplet_variant,
 from repro.service.client import ServiceClient, ServiceError, connect
 from repro.workloads.base import Workload
 from repro.workloads.registry import workload as _lookup_workload
-
-#: The paper's scheme names, as `cluster`/`simulate` accept them.
-SCHEMES = ("BSL", "RD", "CLU", "CLU+TOT", "CLU+TOT+BPS", "PFH+TOT")
 
 __all__ = ["AnalyticEstimate", "FIDELITIES", "Fidelity", "SCHEMES",
            "ServiceClient", "ServiceError", "apply_topology", "bound",
@@ -189,32 +184,18 @@ def _plan_scheme(kernel: KernelSpec, scheme: str, simulator, config, *,
     :class:`~repro.core.throttling.ThrottleVote`, or ``None`` when no
     vote ran.
     """
-    if scheme == "BSL":
-        return baseline_plan(), None
-    part = direction if direction is not None \
-        else analyze_direction(kernel).direction
-    if scheme == "RD":
-        return redirection_plan(kernel, config, part), None
-    if scheme == "CLU":
-        return agent_plan(kernel, config, part, scheme="CLU",
-                          placement=placement), None
+    entry = SCHEME_TABLE[scheme]
+    if direction is None and entry.kind != "baseline":
+        direction = analyze_direction(kernel).direction
     vote = None
-    if active_agents is None:
+    if entry.throttled and active_agents is None:
         if simulator is None:
             simulator = GpuSimulator(config)
-        vote = vote_active_agents(simulator, kernel, part)
+        vote = vote_active_agents(simulator, kernel, direction)
         active_agents = vote.active_agents
-    if scheme == "CLU+TOT":
-        plan = agent_plan(kernel, config, part, active_agents=active_agents,
-                          scheme="CLU+TOT", placement=placement)
-    elif scheme == "CLU+TOT+BPS":
-        plan = agent_plan(kernel, config, part, active_agents=active_agents,
-                          bypass_streams=True, scheme="CLU+TOT+BPS",
-                          placement=placement)
-    else:
-        plan = prefetch_plan(kernel, config, part,
-                             active_agents=active_agents)
-    return plan, vote
+    return build_plan(kernel, config, scheme, direction=direction,
+                      active_agents=active_agents,
+                      placement=placement), vote
 
 
 def simulate(workload, gpu, *, scheme: str = None, plan: ExecutionPlan = None,

@@ -7,8 +7,8 @@ functions so the runner can ship jobs to ``ProcessPoolExecutor``
 workers; everything they return must pickle cleanly (metrics,
 dataclass records), never plans or kernels.
 
-The first six kinds cover every experiment driver; the last two wrap
-the stable :mod:`repro.api` facade so request/response front ends
+The first six kinds cover every experiment driver; the other six
+wrap the stable :mod:`repro.api` facade so request/response front ends
 (:mod:`repro.service`) can name facade calls declaratively and share
 the engine's dedup key, persistent cache and worker offload:
 
@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.core.planner import (PLAN_KINDS, SCHEMES, build_plan,
+                                check_label, partition_for)
 from repro.engine.job import SimJob
 from repro.gpu.config import GpuConfig, platform
 from repro.gpu.scheduler import SCHEDULERS
@@ -95,8 +97,8 @@ def schemes_job(workload, gpu, *, scale: float = 1.0, seed: int = 0,
 
 @executor("schemes")
 def _run_schemes(job: SimJob):
-    from repro.experiments.schemes import SCHEME_ORDER, run_all_schemes
-    schemes = job.extra("schemes") or SCHEME_ORDER
+    from repro.experiments.schemes import run_all_schemes
+    schemes = job.extra("schemes") or SCHEMES
     return run_all_schemes(
         _lookup_workload(job.workload), platform(job.gpu),
         scale=job.scale, seed=job.seed,
@@ -121,8 +123,10 @@ def measure_job(workload, gpu, *, plan: str = "baseline",
                 placement: str = None) -> SimJob:
     """One measured run of one plan on one (workload, GPU) pair.
 
-    ``plan`` is ``baseline``/``rd``/``clu``/``pfh``; ``direction`` is
-    a partition-direction name (``"Y-P"``/``"X-P"``) or ``None`` for
+    ``plan`` is ``baseline``/``rd``/``clu``/``pfh``; ``scheme`` only
+    labels the result and must name a scheme of that plan kind (the
+    knobs, not the label, pick the plan).  ``direction`` is a
+    partition-direction name (``"Y-P"``/``"X-P"``) or ``None`` for
     ``partition_for``'s pick (Table 2 or the dependency analysis),
     matching what every driver does — the tuner passes it explicitly
     so the direction is a searchable axis.  ``tile`` switches the CLU
@@ -133,8 +137,9 @@ def measure_job(workload, gpu, *, plan: str = "baseline",
     (see :data:`repro.gpu.topology.PLACEMENTS`; a no-op on flat
     platforms).
     """
-    if plan not in ("baseline", "rd", "clu", "pfh"):
+    if plan not in PLAN_KINDS.values():
         raise ValueError(f"unknown plan kind {plan!r}")
+    check_label(scheme, plan)
     return SimJob.make(
         "measure", workload=_abbr(workload), gpu=_gpu_name(gpu),
         scheme=scheme, scale=scale, seed=seed, warmups=warmups,
@@ -176,55 +181,34 @@ def _simulator_for(job: SimJob, gpu: GpuConfig) -> GpuSimulator:
     return GpuSimulator(gpu, **kwargs)
 
 
-def _measure_plan(job: SimJob, workload: Workload, gpu: GpuConfig, kernel):
-    """Rebuild the execution plan a ``measure`` job names.
+def measure_plan(job: SimJob) -> tuple:
+    """The ``(platform, kernel, plan)`` a ``measure`` job runs.
 
-    Shared by the ``measure`` and ``estimate`` executors so a job's
-    analytic estimate always prices the plan its simulation would run.
+    Also the plan an ``estimate`` job in plan form prices, and the
+    plan :meth:`repro.tuner.SearchSpace.plan` hands back for a point,
+    so an estimate or a tune's winner is always the plan its
+    simulation ran.
     """
-    from repro.core.agent import agent_plan
-    from repro.core.indexing import TileWiseIndexing
-    from repro.core.indexing import direction as lookup_direction
-    from repro.core.prefetch import prefetch_plan
-    from repro.core.redirection import redirection_plan
-    from repro.experiments.schemes import partition_for
-    from repro.gpu.plan import baseline_plan
-
-    kind = job.extra("plan", "baseline")
-    scheme = job.scheme
-    active_agents = job.extra("active_agents")
-    if active_agents is not None:
-        active_agents = int(active_agents)
+    workload = _lookup_workload(job.workload)
+    gpu = _platform_for(job)
+    kernel = workload.kernel(scale=job.scale, config=gpu)
     name = job.extra("direction")
-    part = (lookup_direction(name) if name is not None
-            else partition_for(workload, kernel))
-
-    if kind == "baseline":
-        return baseline_plan()
-    if kind == "rd":
-        return redirection_plan(kernel, gpu, part)
-    if kind == "clu":
-        tile = job.extra("tile")
-        kwargs = {"active_agents": active_agents,
-                  "bypass_streams": bool(job.extra("bypass_streams", False)),
-                  "placement": job.extra("placement")}
-        if scheme is not None:
-            kwargs["scheme"] = scheme
-        if tile is not None:
-            width, height = (int(v) for v in tile)
-            kwargs["indexing"] = TileWiseIndexing(kernel.grid, tile_w=width,
-                                                  tile_h=height)
-            return agent_plan(kernel, gpu, **kwargs)
-        return agent_plan(kernel, gpu, part, **kwargs)
-    return prefetch_plan(kernel, gpu, part, active_agents=active_agents)
+    active_agents = job.extra("active_agents")
+    plan = build_plan(
+        kernel, gpu, job.extra("plan", "baseline"),
+        direction=(name if name is not None
+                   else partition_for(workload, kernel)),
+        active_agents=(int(active_agents) if active_agents is not None
+                       else None),
+        bypass=bool(job.extra("bypass_streams", False)),
+        tile=job.extra("tile"), placement=job.extra("placement"),
+        label=job.scheme)
+    return gpu, kernel, plan
 
 
 @executor("measure")
 def _run_measure(job: SimJob):
-    workload = _lookup_workload(job.workload)
-    gpu = _platform_for(job)
-    kernel = workload.kernel(scale=job.scale, config=gpu)
-    plan = _measure_plan(job, workload, gpu, kernel)
+    gpu, kernel, plan = measure_plan(job)
     sim = _simulator_for(job, gpu)
     return simulate(sim, kernel, plan, seed=job.seed,
                     warmups=job.warmups)
@@ -427,7 +411,7 @@ def estimate_job(workload, gpu, *, scheme: str = None, plan: str = None,
     """
     if scheme is not None and plan is not None:
         raise ValueError("estimate_job takes scheme= or plan=, not both")
-    if plan is not None and plan not in ("baseline", "rd", "clu", "pfh"):
+    if plan is not None and plan not in PLAN_KINDS.values():
         raise ValueError(f"unknown plan kind {plan!r}")
     return SimJob.make(
         "estimate", workload=_abbr(workload), gpu=_gpu_name(gpu),
@@ -439,18 +423,17 @@ def estimate_job(workload, gpu, *, scheme: str = None, plan: str = None,
 
 @executor("estimate")
 def _run_estimate(job: SimJob):
+    from repro.api import cluster as api_cluster
     from repro.gpu.analytic import estimate as analytic_estimate
-    workload = _lookup_workload(job.workload)
-    gpu = _platform_for(job)
-    kernel = workload.kernel(scale=job.scale, config=gpu)
     if job.extra("plan") is not None:
-        plan = _measure_plan(job, workload, gpu, kernel)
-    elif job.scheme is not None and job.scheme != "BSL":
-        from repro.api import cluster as api_cluster
-        plan = api_cluster(kernel, job.scheme, gpu=gpu, seed=job.seed,
-                           placement=job.extra("placement"))
+        gpu, kernel, plan = measure_plan(job)
     else:
-        plan = None
+        gpu = _platform_for(job)
+        kernel = _lookup_workload(job.workload).kernel(scale=job.scale,
+                                                       config=gpu)
+        plan = None if job.scheme is None else api_cluster(
+            kernel, job.scheme, gpu=gpu, seed=job.seed,
+            placement=job.extra("placement"))
     return analytic_estimate(gpu, kernel, plan, seed=job.seed,
                              warmups=job.warmups)
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.planner import SCHEMES
 from repro.experiments.driver import RunContext, register
 from repro.experiments.evaluation import (
     EvaluationSweep, GROUP_ORDER, assemble_evaluation, evaluation_jobs,
     run_evaluation)
 from repro.experiments.report import format_table
-from repro.experiments.schemes import SCHEME_ORDER
 from repro.gpu.config import EVALUATION_PLATFORMS
 from repro.workloads.registry import by_category
 
@@ -36,7 +36,7 @@ class Fig12Result:
 
     def render(self) -> str:
         parts = []
-        schemes = [s for s in SCHEME_ORDER if s != "BSL"]
+        schemes = [s for s in SCHEMES if s != "BSL"]
         for gpu in self.sweep.platforms:
             for group in GROUP_ORDER:
                 rows = []

@@ -1,49 +1,25 @@
 """The six evaluation configurations of Figures 12/13.
 
-For every (workload, platform) pair this module builds the paper's
-bar set:
-
-* ``BSL`` — untouched kernel through the hardware scheduler model.
-* ``RD``  — redirection-based clustering (Listing 4).
-* ``CLU`` — agent-based clustering, maximum allowable agents.
-* ``CLU+TOT`` — agent-based with the optimal active-agent count; by
-  default the degree is found with the dynamic throttling vote, or the
-  paper's Table-2 value can be requested for strict fidelity.
-* ``CLU+TOT+BPS`` — plus streaming-access bypassing.
-* ``PFH+TOT`` — order reshaping + successor prefetching (the scheme
-  intended for the no-exploitable-locality group).
-
-The partition direction comes from Table 2 (the configuration the
-authors ran); workloads without a Table-2 row fall back to the
-dependency analysis.
+For every (workload, platform) pair this module measures the bar set
+of :data:`repro.core.planner.SCHEMES`.  The throttled schemes' degree
+comes from the dynamic throttling vote by default, or from the paper's
+Table-2 value for strict fidelity.  The partition direction comes from
+Table 2 (the configuration the authors ran); workloads without a
+Table-2 row fall back to the dependency analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.agent import agent_plan
-from repro.core.dependence import analyze_direction
-from repro.core.indexing import direction
-from repro.core.prefetch import prefetch_plan
-from repro.core.redirection import redirection_plan
+from repro.core.planner import SCHEMES, build_plan, partition_for
 from repro.core.throttling import ThrottleVote, vote_active_agents
 from repro.gpu.config import GpuConfig
 from repro.gpu.metrics import KernelMetrics
 from repro.gpu.occupancy import max_ctas_per_sm
-from repro.gpu.plan import ExecutionPlan, baseline_plan
+from repro.gpu.plan import ExecutionPlan
 from repro.gpu.simulator import GpuSimulator, simulate
 from repro.workloads.base import Workload
-
-#: Figure 12/13 bar order.
-SCHEME_ORDER = ("BSL", "RD", "CLU", "CLU+TOT", "CLU+TOT+BPS", "PFH+TOT")
-
-
-def partition_for(workload: Workload, kernel) -> "object":
-    """Table-2 partition direction, or dependency analysis fallback."""
-    if workload.table2 is not None:
-        return direction(workload.table2.partition)
-    return analyze_direction(kernel).direction
 
 
 def throttle_vote(workload: Workload, kernel, config: GpuConfig,
@@ -68,17 +44,9 @@ def build_scheme_plans(workload: Workload, kernel, config: GpuConfig,
     """All six Figure-12 configurations for one workload/platform pair;
     the throttled schemes use ``vote``'s degree."""
     part = partition_for(workload, kernel)
-    opt = vote.active_agents
-    return {
-        "BSL": baseline_plan(),
-        "RD": redirection_plan(kernel, config, part),
-        "CLU": agent_plan(kernel, config, part, scheme="CLU"),
-        "CLU+TOT": agent_plan(kernel, config, part, active_agents=opt,
-                              scheme="CLU+TOT"),
-        "CLU+TOT+BPS": agent_plan(kernel, config, part, active_agents=opt,
-                                  bypass_streams=True, scheme="CLU+TOT+BPS"),
-        "PFH+TOT": prefetch_plan(kernel, config, part, active_agents=opt),
-    }
+    return {scheme: build_plan(kernel, config, scheme, direction=part,
+                               active_agents=vote.active_agents)
+            for scheme in SCHEMES}
 
 
 @dataclass
@@ -109,7 +77,7 @@ def run_all_schemes(workload: Workload, config: GpuConfig,
                     use_paper_agents: bool = False,
                     warmups: int = 1,
                     l2_divisor: int = 1,
-                    schemes=SCHEME_ORDER,
+                    schemes=SCHEMES,
                     runner=None) -> SchemeResults:
     """Simulate the requested configurations for one workload/platform.
 
@@ -134,7 +102,7 @@ def run_all_schemes(workload: Workload, config: GpuConfig,
             workload, config, scale=scale, seed=seed,
             use_paper_agents=use_paper_agents, warmups=warmups,
             l2_divisor=l2_divisor,
-            schemes=None if schemes is SCHEME_ORDER else tuple(schemes)))
+            schemes=None if schemes is SCHEMES else tuple(schemes)))
     kernel = workload.kernel(scale=scale, config=config)
     run_config = config.with_scaled_l2(l2_divisor)
     sim = GpuSimulator(run_config)

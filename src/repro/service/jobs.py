@@ -23,6 +23,8 @@ import enum
 import math
 from typing import Callable
 
+from repro.core.planner import (PLAN_KINDS, SCHEME_TABLE, SCHEMES,
+                                check_label)
 from repro.engine.executors import (
     bound_job,
     cluster_job,
@@ -94,7 +96,6 @@ def _check_gpu(name: str) -> str:
 
 
 def _check_scheme(name: "str | None", *, required: bool) -> "str | None":
-    from repro.api import SCHEMES
     if name is None:
         if required:
             raise _bad("scheme", "field is required")
@@ -223,10 +224,6 @@ def build_cotenant_job(payload: dict) -> SimJob:
         raise _bad("tenants", str(exc)) from None
 
 
-#: The schemes whose plan takes an ``active_agents`` degree.
-_THROTTLED = ("CLU+TOT", "CLU+TOT+BPS", "PFH+TOT")
-
-
 def _check_agents(workload: str, config, scale: float, agents: int) -> None:
     """``active_agents`` must fit the kernel's occupancy on ``config``;
     the plan builders raise past it, which would be a failed job."""
@@ -253,7 +250,7 @@ def build_cluster_job(payload: dict) -> SimJob:
     seed = _seed(payload)
     topology = _check_topology(_string(payload, "topology"))
     placement = _check_placement(_string(payload, "placement"))
-    if active_agents is not None and scheme in _THROTTLED:
+    if active_agents is not None and SCHEME_TABLE[scheme].throttled:
         from repro.api import apply_topology
         from repro.gpu.config import platform
         config = platform(gpu)
@@ -396,31 +393,37 @@ def _tile(extras: dict, field: str) -> None:
 
 
 def _scheme_list(extras: dict, field: str) -> None:
-    from repro.experiments.schemes import SCHEME_ORDER
     value = extras.get(field)
     if value is None:
         return
     if not isinstance(value, list) or not value:
         raise _bad(field, "expected a non-empty list of scheme names")
     for name in value:
-        if not isinstance(name, str) or name not in SCHEME_ORDER:
+        if not isinstance(name, str) or name not in SCHEMES:
             raise _bad(field, f"unknown scheme {name!r}; "
-                              f"known: {list(SCHEME_ORDER)}")
+                              f"known: {list(SCHEMES)}")
 
 
 def _measure_check(job: SimJob) -> None:
-    """A ``measure`` job's platform knobs must build a platform and an
-    L1, and its ``active_agents`` must fit the kernel — checked here,
-    not in a worker."""
+    """A ``measure`` job's scheme label must name a scheme of its plan
+    kind, its platform knobs must build a platform and an L1, and its
+    ``active_agents`` must fit the kernel — checked here, not in a
+    worker."""
     from repro.engine.executors import _platform_for
     from repro.gpu.cache import make_l1
+    kind = job.extra("plan", "baseline")
+    try:
+        check_label(job.scheme, kind)
+    except ValueError as exc:
+        raise _bad("scheme", str(exc)) from None
     try:
         gpu = _platform_for(job)
         make_l1(gpu)
     except ValueError as exc:
         raise _bad("extras", str(exc)) from None
     agents = job.extra("active_agents")
-    if agents is not None and job.extra("plan") in ("clu", "pfh"):
+    if agents is not None and kind in {
+            s.kind for s in SCHEME_TABLE.values() if s.throttled}:
         _check_agents(job.workload, gpu, job.scale, agents)
 
 
@@ -443,7 +446,7 @@ ENGINE_KINDS = {
         "use_paper_agents": _flag, "l2_divisor": _at_least(1),
         "schemes": _scheme_list}),
     "measure": EngineKind(("workload", "gpu"), {
-        "plan": _choice(("baseline", "rd", "clu", "pfh")),
+        "plan": _choice(tuple(PLAN_KINDS.values())),
         "direction": _choice(("X-P", "Y-P")),
         "active_agents": _at_least(1), "bypass_streams": _flag,
         "tile": _tile, "scheduler": _choice(SCHEDULERS),

@@ -101,13 +101,9 @@ def _tenant_plan(kernel, config, spec):
     interference study wants.
     """
     from repro.api import cluster
-    from repro.gpu.plan import baseline_plan
 
-    if spec.scheme == "BSL":
-        plan = baseline_plan()
-    else:
-        plan = cluster(kernel, spec.scheme, gpu=config, seed=spec.seed,
-                       active_agents=spec.active_agents)
+    plan = cluster(kernel, spec.scheme, gpu=config, seed=spec.seed,
+                   active_agents=spec.active_agents)
     if spec.bypass and not plan.bypass_streams:
         plan = dataclasses.replace(plan, bypass_streams=True)
     return plan

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.planner import SCHEME_TABLE
+
 #: SM-partitioning policies the runner implements.
 #:
 #: * ``shared`` — every tenant dispatches onto every SM and the waves
@@ -25,12 +27,12 @@ from dataclasses import dataclass
 POLICIES = ("shared", "sm-split", "cluster-isolated")
 
 #: Schemes a tenant may run.  These are the demand-caching members of
-#: :data:`repro.api.SCHEMES`: the oracle bound
+#: :data:`repro.core.planner.SCHEMES`: the oracle bound
 #: (:mod:`repro.analysis.bound`) models demand fetches only, so the
 #: prefetching ``PFH+TOT`` plan — which installs lines without counted
 #: misses — is excluded from tenant configs to keep the
 #: ``bound >= measured`` invariant assertable on every mix.
-TENANT_SCHEMES = ("BSL", "RD", "CLU", "CLU+TOT", "CLU+TOT+BPS")
+TENANT_SCHEMES = tuple(n for n, s in SCHEME_TABLE.items() if s.kind != "pfh")
 
 
 @dataclass(frozen=True)

@@ -21,20 +21,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.indexing import TileWiseIndexing, direction as lookup_direction
+from repro.core.planner import PLAN_KINDS, SCHEME_TABLE
 from repro.core.throttling import throttle_candidates
 from repro.engine.executors import estimate_job as build_estimate_job
-from repro.engine.executors import measure_job
+from repro.engine.executors import measure_job, measure_plan
 from repro.engine.job import SimJob
 from repro.gpu.config import GpuConfig, platform
 from repro.gpu.occupancy import max_ctas_per_sm
-from repro.gpu.plan import ExecutionPlan, baseline_plan
+from repro.gpu.plan import ExecutionPlan
 
-#: Scheme kinds, in canonical (enumeration) order.  They map onto the
-#: engine's ``measure`` plan kinds: BSL -> baseline, RD -> redirection,
-#: CLU -> agent clustering (with throttle/bypass/tile sub-axes),
-#: PFH -> reshaped order + prefetching.
-KINDS = ("BSL", "RD", "CLU", "PFH")
+#: Scheme kinds, in canonical (enumeration) order.  Each is a scheme
+#: family of :data:`repro.core.planner.PLAN_KINDS` and maps onto its
+#: ``measure`` plan kind: BSL -> baseline, RD -> redirection, CLU ->
+#: agent clustering (with throttle/bypass/tile sub-axes), PFH ->
+#: reshaped order + prefetching.
+KINDS = tuple(PLAN_KINDS)
 
 #: Partition directions, canonical order (Table 2 spells Y-P first).
 DIRECTIONS = ("Y-P", "X-P")
@@ -294,21 +295,19 @@ class SearchSpace:
     # point -> engine job / live plan
     # ------------------------------------------------------------------
 
-    #: ConfigPoint kind -> the engine's ``measure``/``estimate`` plan kind.
-    PLAN_KINDS = {"BSL": "baseline", "RD": "rd", "CLU": "clu", "PFH": "pfh"}
+    def _knobs(self, point: ConfigPoint) -> dict:
+        """The ``measure``/``estimate`` job knobs that name one point."""
+        point = self.normalize(point)
+        return {"plan": PLAN_KINDS[point.kind], "direction": point.direction,
+                "active_agents": point.active_agents,
+                "bypass_streams": point.bypass, "tile": point.tile,
+                "placement": point.placement}
 
     def job(self, point: ConfigPoint, *, scale: float, seed: int = 0,
             warmups: int = 1) -> SimJob:
         """The declarative ``measure`` job that evaluates one point."""
-        point = self.normalize(point)
-        return measure_job(self.workload, self.gpu,
-                           plan=self.PLAN_KINDS[point.kind],
-                           scale=scale, seed=seed, warmups=warmups,
-                           direction=point.direction,
-                           active_agents=point.active_agents,
-                           bypass_streams=point.bypass,
-                           tile=point.tile,
-                           placement=point.placement)
+        return measure_job(self.workload, self.gpu, scale=scale, seed=seed,
+                           warmups=warmups, **self._knobs(point))
 
     def estimate_job(self, point: ConfigPoint, *, scale: float, seed: int = 0,
                      warmups: int = 1) -> SimJob:
@@ -319,47 +318,13 @@ class SearchSpace:
         simulator — which is what lets the tuner triage configurations
         without spending simulation budget.
         """
-        point = self.normalize(point)
-        return build_estimate_job(self.workload, self.gpu,
-                                  plan=self.PLAN_KINDS[point.kind],
-                                  scale=scale, seed=seed, warmups=warmups,
-                                  direction=point.direction,
-                                  active_agents=point.active_agents,
-                                  bypass_streams=point.bypass,
-                                  tile=point.tile,
-                                  placement=point.placement)
+        return build_estimate_job(self.workload, self.gpu, scale=scale,
+                                  seed=seed, warmups=warmups,
+                                  **self._knobs(point))
 
     def plan(self, point: ConfigPoint, *, scale: float = 1.0) -> ExecutionPlan:
-        """Materialize the live execution plan for one point."""
-        from repro.core.agent import agent_plan
-        from repro.core.prefetch import prefetch_plan
-        from repro.core.redirection import redirection_plan
-        from repro.workloads.registry import workload as lookup
-
-        point = self.normalize(point)
-        config = platform(self.gpu)
-        kernel = lookup(self.workload).kernel(scale=scale, config=config)
-        if point.kind == "BSL":
-            return baseline_plan()
-        part = lookup_direction(point.direction) \
-            if point.direction is not None else None
-        if point.kind == "RD":
-            return redirection_plan(kernel, config, part)
-        if point.kind == "PFH":
-            return prefetch_plan(kernel, config, part,
-                                 active_agents=point.active_agents)
-        if point.tile is not None:
-            width, height = point.tile
-            return agent_plan(kernel, config,
-                              indexing=TileWiseIndexing(
-                                  kernel.grid, tile_w=width, tile_h=height),
-                              active_agents=point.active_agents,
-                              bypass_streams=point.bypass,
-                              placement=point.placement)
-        return agent_plan(kernel, config, part,
-                          active_agents=point.active_agents,
-                          bypass_streams=point.bypass,
-                          placement=point.placement)
+        """The live execution plan :meth:`job`'s simulation runs."""
+        return measure_plan(self.job(point, scale=scale))[2]
 
 
 def point_from_decision(summary, space: SearchSpace) -> ConfigPoint:
@@ -370,20 +335,12 @@ def point_from_decision(summary, space: SearchSpace) -> ConfigPoint:
     strategy's guaranteed candidate, which is what makes the tuner
     regression-free against the Fig.-11 rules.
     """
-    scheme = summary.scheme
     agents = summary.active_agents or None
     if agents is not None and summary.max_agents \
             and agents >= summary.max_agents:
         agents = None
-    if scheme == "BSL":
-        return ConfigPoint(kind="BSL")
-    if scheme == "RD":
-        return space.normalize(ConfigPoint(
-            kind="RD", direction=summary.direction.name))
-    if scheme.startswith("PFH"):
-        return space.normalize(ConfigPoint(
-            kind="PFH", direction=summary.direction.name,
-            active_agents=agents))
+    # Normalizing drops the knobs the scheme's family does not take.
     return space.normalize(ConfigPoint(
-        kind="CLU", direction=summary.direction.name, active_agents=agents,
-        bypass="BPS" in scheme))
+        kind=summary.scheme.split("+")[0],
+        direction=summary.direction.name, active_agents=agents,
+        bypass=SCHEME_TABLE[summary.scheme].bypass))

@@ -15,7 +15,7 @@ class TestJobIdentity:
 
     def test_key_differs_from_simulate_job(self):
         est = estimate_job("NN", "Tesla K40", scheme="CLU", scale=0.3)
-        sim = measure_job("NN", "Tesla K40", scheme="CLU", scale=0.3)
+        sim = measure_job("NN", "Tesla K40", plan="clu", scale=0.3)
         assert est.kind == "estimate"
         assert est.key != sim.key
 

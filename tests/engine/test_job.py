@@ -71,6 +71,20 @@ class TestSimJobHash:
         keys = {base.key} | {v.key for v in variants}
         assert len(keys) == len(variants) + 1
 
+    def test_measure_scheme_labels_its_own_plan_kind(self):
+        # ``scheme`` only labels the plan ``plan`` names; a scheme of
+        # another kind would silently measure that other plan.
+        for scheme, plan in (("CLU", "baseline"), ("RD", "clu"),
+                             ("CLU+TOT", "pfh"), ("PFH+TOT", "clu"),
+                             ("BSL", "rd"), ("TOT", "clu")):
+            with pytest.raises(ValueError):
+                measure_job("NN", TESLA_K40, plan=plan, scheme=scheme)
+        for scheme, plan in (("BSL", "baseline"), ("RD", "rd"),
+                             ("CLU+TOT", "clu"), ("CLU+TOT+BPS", "clu"),
+                             ("PFH+TOT", "pfh")):
+            assert measure_job("NN", TESLA_K40, plan=plan,
+                               scheme=scheme).scheme == scheme
+
     def test_jobs_pickle(self):
         job = measure_job("NN", TESLA_K40, plan="clu", tile=(4, 4),
                           hiding_cap=8.0)

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.core.planner import SCHEMES, partition_for
 from repro.core.throttling import throttle_candidates
 from repro.experiments.schemes import (
-    SCHEME_ORDER, build_scheme_plans, partition_for, run_all_schemes,
-    throttle_vote)
+    build_scheme_plans, run_all_schemes, throttle_vote)
 from repro.gpu.config import GTX980, TESLA_K40
 from repro.gpu.metrics import canonical_metrics
 from repro.gpu.occupancy import max_ctas_per_sm
@@ -49,7 +49,7 @@ class TestBuildSchemePlans:
         plans = build_scheme_plans(
             wl, kernel, TESLA_K40,
             throttle_vote(wl, kernel, TESLA_K40, use_paper_value=True))
-        assert set(plans) == set(SCHEME_ORDER)
+        assert set(plans) == set(SCHEMES)
         assert plans["BSL"].mode == "scheduled"
         assert plans["RD"].mode == "scheduled"
         for scheme in ("CLU", "CLU+TOT", "CLU+TOT+BPS", "PFH+TOT"):
@@ -65,7 +65,7 @@ class TestRunAllSchemes:
                                use_paper_agents=True)
 
     def test_metrics_for_every_scheme(self, results):
-        assert set(results.metrics) == set(SCHEME_ORDER)
+        assert set(results.metrics) == set(SCHEMES)
         for scheme, metrics in results.metrics.items():
             assert metrics.cycles > 0, scheme
             assert metrics.scheme == scheme
@@ -138,7 +138,7 @@ class TestColdCellWork:
         plans = build_scheme_plans(wl, kernel, run_config, throttle_vote(
             wl, kernel, run_config,
             use_paper_value=kwargs.get("use_paper_agents", False)))
-        for scheme in SCHEME_ORDER:
+        for scheme in SCHEMES:
             want = simulate(GpuSimulator(run_config), kernel, plans[scheme],
                             seed=kwargs.get("seed", 0),
                             warmups=kwargs.get("warmups", 1))

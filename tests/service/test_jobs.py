@@ -248,6 +248,12 @@ class TestEngineKindEntries:
         self.rejects({"kind": "measure", "workload": "NN", "gpu": "GTX980",
                       "extras": extras}, field)
 
+    @pytest.mark.parametrize("scheme, extras", [
+        ("CLU", {}), ("RD", {"plan": "clu"}), ("TOT", {"plan": "clu"})])
+    def test_measure_scheme_of_another_plan_is_a_400(self, scheme, extras):
+        self.rejects({"kind": "measure", "workload": "NN", "gpu": "GTX980",
+                      "scheme": scheme, "extras": extras}, "scheme")
+
     def test_bad_scheme_list_is_a_400(self):
         self.rejects({"kind": "schemes", "workload": "NN", "gpu": "GTX980",
                       "extras": {"schemes": ["CLU", "TOT"]}}, "schemes")

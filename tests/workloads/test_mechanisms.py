@@ -5,7 +5,7 @@ behaves as its Figure-4 category prescribes when simulated.
 import pytest
 
 from repro.core.agent import agent_plan
-from repro.experiments.schemes import partition_for
+from repro.core.planner import partition_for
 from repro.gpu.config import GTX570, GTX980, TESLA_K40
 from repro.gpu.simulator import GpuSimulator, simulate
 from repro.workloads.registry import workload
