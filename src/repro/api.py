@@ -151,7 +151,8 @@ def cluster(kernel, scheme: str = "CLU", *, gpu,
     comes from the dependency analysis, exactly as the automatic
     framework would choose.  For the throttled schemes,
     ``active_agents`` overrides the dynamic throttling vote (which
-    simulates candidate degrees and therefore costs a few runs).
+    simulates candidate degrees and therefore costs a few runs);
+    ``seed`` is the scheduler seed the vote's runs use.
     ``placement`` names a chiplet placement policy
     (:data:`repro.gpu.topology.PLACEMENTS`) applied to the CLU-family
     binding on a multi-chiplet platform — a no-op on flat dies and for
@@ -163,7 +164,7 @@ def cluster(kernel, scheme: str = "CLU", *, gpu,
     plan, _vote = _plan_scheme(kernel, scheme, simulator, config,
                                direction=direction,
                                active_agents=active_agents,
-                               placement=placement)
+                               placement=placement, seed=seed)
     return plan
 
 
@@ -176,13 +177,13 @@ def _check_scheme(scheme: str, placement: "str | None") -> None:
 
 def _plan_scheme(kernel: KernelSpec, scheme: str, simulator, config, *,
                  direction=None, active_agents: int = None,
-                 placement: str = None):
+                 placement: str = None, seed: int = 0):
     """:func:`cluster`'s planner, for a resolved kernel and platform.
 
     A throttling vote runs on ``simulator`` (a fresh one on ``config``
-    if ``None``).  Returns ``(plan, vote)``, where ``vote`` is the
-    :class:`~repro.core.throttling.ThrottleVote`, or ``None`` when no
-    vote ran.
+    if ``None``) at scheduler ``seed``.  Returns ``(plan, vote)``,
+    where ``vote`` is the :class:`~repro.core.throttling.ThrottleVote`,
+    or ``None`` when no vote ran.
     """
     entry = SCHEME_TABLE[scheme]
     if direction is None and entry.kind != "baseline":
@@ -191,7 +192,7 @@ def _plan_scheme(kernel: KernelSpec, scheme: str, simulator, config, *,
     if entry.throttled and active_agents is None:
         if simulator is None:
             simulator = GpuSimulator(config)
-        vote = vote_active_agents(simulator, kernel, direction)
+        vote = vote_active_agents(simulator, kernel, direction, seed=seed)
         active_agents = vote.active_agents
     return build_plan(kernel, config, scheme, direction=direction,
                       active_agents=active_agents,
@@ -251,7 +252,7 @@ def simulate(workload, gpu, *, scheme: str = None, plan: ExecutionPlan = None,
         return estimate(workload, gpu, scheme=scheme, plan=plan, scale=scale,
                         seed=seed, warmups=warmups, topology=topology,
                         placement=placement)
-    scale = scale * rung.scale_multiplier
+    scale = rung.scale_of(scale)
     simulator, config = _resolve_config(gpu)
     if topology is not None:
         if simulator is not None:

@@ -88,18 +88,20 @@ class ThrottleVote:
 def vote_active_agents(simulator, kernel: KernelSpec,
                        partition_direction: PartitionDirection = Y_PARTITION,
                        bypass_streams: bool = False,
-                       candidates=None) -> ThrottleVote:
+                       candidates=None, seed: int = 0) -> ThrottleVote:
     """Pick the ACTIVE_AGENTS degree that minimizes simulated cycles.
 
     ``simulator`` is a :class:`~repro.gpu.simulator.GpuSimulator`;
-    its config determines MAX_AGENTS.  Ties go to the larger degree
-    (throttle only when it actually helps, §5.2-(4)).
+    its config determines MAX_AGENTS.  Each candidate is measured with
+    :func:`~repro.gpu.simulator.simulate` at scheduler ``seed`` and one
+    warm-up.  Ties go to the larger degree (throttle only when it
+    actually helps, §5.2-(4)).
     """
     config: GpuConfig = simulator.config
     max_agents = max_ctas_per_sm(config, kernel)
     if candidates is None:
         candidates = throttle_candidates(max_agents)
-    seed, warmups = 0, 1
+    warmups = 1
     metrics, digests = {}, {}
     for degree in candidates:
         if not 1 <= degree <= max_agents:

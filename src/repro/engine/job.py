@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 #: Engine schema version.  Participates in the cache salt: bump it
 #: whenever a change to the engine, the simulator or the workload
 #: models makes previously cached results stale.
-ENGINE_VERSION = "6"  # 6: co-tenant mixes + reuse-graph oracle bound
+ENGINE_VERSION = "7"  # 7: cluster(seed=) seeds the throttling vote
 
 
 def canonical_value(value):

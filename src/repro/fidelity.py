@@ -49,6 +49,11 @@ class Fidelity:
         """Whether this rung runs the cycle-approximate simulator."""
         return self.rung > 0
 
+    def scale_of(self, scale: float) -> float:
+        """The problem scale this rung evaluates a ``scale`` request
+        at (rung 0 prices the requested scale itself)."""
+        return scale * self.scale_multiplier if self.simulated else scale
+
     def __str__(self) -> str:
         return self.name
 

@@ -30,6 +30,8 @@ conclusions are measured exactly.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import deque
 from heapq import heapify, heappop, heappush
 
@@ -54,6 +56,59 @@ INTERLEAVE_CHUNK = 2
 #: per-warp *observed* latency rather than throughput, models the full
 #: wait explicitly on the cache models instead.
 RESERVED_EXPOSURE = 0.2
+
+#: Most cache geometries the process-wide pool keeps a pair for.
+POOL_KEYS = 4
+
+
+def cache_key(config: GpuConfig, fast: bool) -> tuple:
+    """Everything :func:`make_l1`/:func:`make_l2` read: two simulators
+    with equal keys build interchangeable cache pairs."""
+    return (fast, config.num_sms, config.l1_size, config.l1_line,
+            config.l1_sectors, config.l2_size, config.l2_line)
+
+
+class _CachePairPool:
+    """Reset cache pairs shared by every simulator in the process.
+
+    One pair per :func:`cache_key`, at most :data:`POOL_KEYS` keys;
+    parking a pair under a new key evicts the key parked longest ago.
+    A taker pops its pair, so a nested or concurrent taker of the same
+    key builds a fresh one instead of sharing a pair in use.
+    """
+
+    def __init__(self, keys: int = POOL_KEYS):
+        self.keys = keys
+        self._pairs = {}
+        self._lock = threading.Lock()
+
+    def _relock(self) -> None:
+        # A fork can copy the lock mid-hold; the child gets a free one.
+        self._lock = threading.Lock()
+
+    def take(self, sim: "GpuSimulator"):
+        with self._lock:
+            pair = self._pairs.pop(cache_key(sim.config, sim.fast), None)
+        return pair if pair is not None else sim.fresh_caches()
+
+    def park(self, sim: "GpuSimulator", pair) -> None:
+        # Resetting at release means a parked pair holds no lines, and
+        # a recycled pair is indistinguishable from a fresh one.
+        l1s, l2 = pair
+        for l1 in l1s:
+            l1.reset()
+        l2.reset()
+        key = cache_key(sim.config, sim.fast)
+        with self._lock:
+            if key in self._pairs:
+                return
+            self._pairs[key] = pair
+            if len(self._pairs) > self.keys:
+                del self._pairs[next(iter(self._pairs))]
+
+
+_POOL = _CachePairPool()
+os.register_at_fork(after_in_child=lambda: _POOL._relock())
 
 
 class GpuSimulator:
@@ -92,9 +147,6 @@ class GpuSimulator:
         self._topo = (config.topology
                       if config.topology is not None
                       and not config.topology.is_trivial else None)
-        #: At most one reset cache pair, recycled by :meth:`run` and
-        #: :func:`simulate` when the caller brings no caches.
-        self._parked = []
 
     # ------------------------------------------------------------------
     # public API
@@ -107,29 +159,16 @@ class GpuSimulator:
                  for _ in range(config.num_sms)],
                 make_l2(config, fast=self.fast))
 
-    def _take_caches(self):
-        """A cold cache pair: the parked one, or a fresh one.
+    def take_caches(self):
+        """A cold cache pair for this simulator's geometry: the one the
+        process pool holds for it, or a fresh one (DESIGN.md, "One
+        cache-pair pool per process").  Give it back with
+        :meth:`park_caches`."""
+        return _POOL.take(self)
 
-        The pop makes a nested or concurrent taker fall back to
-        :meth:`fresh_caches` instead of sharing a pair in use.
-        """
-        try:
-            return self._parked.pop()
-        except IndexError:
-            return self.fresh_caches()
-
-    def _park_caches(self, caches) -> None:
-        """Reset a pair taken with :meth:`_take_caches` and keep it.
-
-        Resetting at release means a parked pair holds no lines, and a
-        recycled pair is indistinguishable from a fresh one.
-        """
-        l1s, l2 = caches
-        for l1 in l1s:
-            l1.reset()
-        l2.reset()
-        if not self._parked:
-            self._parked.append(caches)
+    def park_caches(self, caches) -> None:
+        """Reset a pair taken with :meth:`take_caches` and pool it."""
+        _POOL.park(self, caches)
 
     def run(self, kernel: KernelSpec, plan: ExecutionPlan = None,
             record_per_cta: bool = False, seed: int = 0,
@@ -139,8 +178,8 @@ class GpuSimulator:
         ``caches`` lets callers carry cache *contents* across launches
         (GPUs do not flush caches between kernel invocations); counters
         are reset so the returned metrics cover this launch only.
-        Without it the launch starts cold on the simulator's recycled
-        pair (see :func:`simulate`).
+        Without it the launch starts cold on a pooled pair (see
+        :func:`simulate`).
         ``tracer`` overrides the simulator's own tracer for this launch.
         """
         plan = plan if plan is not None else baseline_plan()
@@ -155,7 +194,7 @@ class GpuSimulator:
         )
         recycle = caches is None
         if recycle:
-            caches = self._take_caches()
+            caches = self.take_caches()
         l1s, l2 = caches
         if plan.mode == "scheduled":
             source = _SchedulerSource(self, kernel, plan, metrics, l2,
@@ -169,7 +208,7 @@ class GpuSimulator:
             metrics.l1.merge(l1.stats)
         metrics.l2.merge(l2.stats)
         if recycle:
-            self._park_caches(caches)
+            self.park_caches(caches)
         return metrics
 
     def run_waves(self, source, l1s, l2s, tracer=None) -> None:
@@ -604,11 +643,14 @@ def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
     launch only — warm-ups stay untraced so profiles describe the run
     the returned metrics describe.
 
-    Without ``caches``, a call on a :class:`GpuSimulator` (like
-    :meth:`GpuSimulator.run`) starts cold on the simulator's parked
-    cache pair (a fresh one the first time), and resets and parks the
-    pair again when it finishes; a reset pair is indistinguishable
-    from a fresh one, so this only saves allocations.
+    Without ``caches``, a call (like :meth:`GpuSimulator.run`) starts
+    cold on the process pool's pair for the platform's cache geometry
+    (a fresh one the first time), and resets and parks the pair again
+    when it finishes.  A simulator built here from a config draws from
+    the same pool as a caller's, so a job that builds its own
+    simulator still reuses the last job's pair.  A reset pair is
+    indistinguishable from a fresh one, so this only saves
+    allocations.
 
     ``fast`` selects the simulation core: ``True`` (the process
     default) runs the flat-array fast path of
@@ -630,18 +672,15 @@ def simulate(gpu, kernel: KernelSpec, plan: ExecutionPlan = None, *,
         simulator = GpuSimulator(gpu, fast=fast)
     if warmups < 0:
         raise ValueError(f"warmups must be >= 0, got {warmups}")
-    # A simulator built here dies on return: parking its pair would
-    # only cost a reset, so only a caller's simulator recycles.
-    recycle = caches is None and simulator is gpu
-    if caches is None:
-        caches = (simulator._take_caches() if recycle
-                  else simulator.fresh_caches())
+    recycle = caches is None
+    if recycle:
+        caches = simulator.take_caches()
     for i in range(warmups):
         simulator.run(kernel, plan, seed=seed + i, caches=caches)
     metrics = simulator.run(kernel, plan, record_per_cta=record_per_cta,
                             seed=seed + warmups, caches=caches,
                             tracer=tracer)
     if recycle:
-        simulator._park_caches(caches)
+        simulator.park_caches(caches)
     return metrics
 

@@ -38,7 +38,6 @@ The request pipeline, in order::
 from __future__ import annotations
 
 import asyncio
-import gc
 import hmac
 import math
 import os
@@ -169,13 +168,7 @@ class SimulationService(JsonServer):
             # what tests and single-core containers want.
             return ThreadPoolExecutor(max_workers=1,
                                       thread_name_prefix="repro-sim")
-        # Each worker freezes the heap it inherits at fork (modules,
-        # registries: ~41k objects), so full collections scan only what
-        # the worker builds.  A fresh simulate's gen-2 pause drops from
-        # ~20 ms to ~4 ms, and tail latency stops depending on which
-        # requests those pauses happen to land in.
-        return ProcessPoolExecutor(max_workers=self.config.workers,
-                                   initializer=gc.freeze)
+        return ProcessPoolExecutor(max_workers=self.config.workers)
 
     def request_shutdown(self) -> None:
         """Begin the graceful drain (idempotent; signal-handler safe)."""

@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.analysis.bound import BoundReport, cache_hit_bound
-from repro.gpu.cache import make_l1, make_l2
+from repro.gpu.cache import make_l2
 from repro.gpu.config import PLATFORMS, GpuConfig
 from repro.gpu.metrics import KernelMetrics
 from repro.gpu.occupancy import max_ctas_per_sm
@@ -424,17 +424,19 @@ def _run_cotenant(mix, config, owned, solo_kernels, solo_plans, *, seed,
             view = dataclasses.replace(config, num_sms=len(owned[t]))
             plans.append(_tenant_plan(solo_kernels[t], view, spec))
 
-    # Shared memory hierarchy.  ``cluster-isolated`` models a static
-    # way-partition of the shared L2 as per-tenant set-partitioned
-    # slices of 1/n capacity (see DESIGN): no tenant can evict another
-    # tenant's L2 lines under that policy.
-    l1s = [make_l1(config, fast=sim.fast) for _ in range(config.num_sms)]
+    # Shared memory hierarchy: the platform's pooled pair, the one the
+    # solo runs above just parked.  ``cluster-isolated`` models a
+    # static way-partition of the shared L2 as per-tenant
+    # set-partitioned slices of 1/n capacity (see DESIGN), built per
+    # mix: no tenant can evict another tenant's L2 lines under that
+    # policy, and the pair's own L2 sits out the mix.
+    caches = sim.take_caches()
+    l1s, shared_l2 = caches
     if mix.policy == "cluster-isolated":
         slice_config = config.with_scaled_l2(n)
         l2s = [make_l2(slice_config, fast=sim.fast) for _ in range(n)]
         l2_of = list(l2s)
     else:
-        shared_l2 = make_l2(config, fast=sim.fast)
         l2s = [shared_l2]
         l2_of = [shared_l2] * n
 
@@ -448,4 +450,5 @@ def _run_cotenant(mix, config, owned, solo_kernels, solo_plans, *, seed,
         ]
         sim.run_waves(_TenantSource(runs, l1s, config.num_sms), l1s, l2s,
                       tracer if measured else None)
+    sim.park_caches(caches)
     return [run.metrics for run in runs]

@@ -37,7 +37,9 @@ class TuneResult:
     candidate evaluated at the tune's ``fidelity`` rung (``"full"``
     unless the caller lowered it) in rank order; ``evaluations``
     counts the budget actually spent; ``decision`` is a JSON-plain
-    digest of the framework's reasoning.
+    digest of the framework's reasoning.  ``best_plan`` is the plan
+    ``best`` was scored on, built for :attr:`plan_scale`: simulating it
+    at that scale (same seed and warm-ups) replays ``best.cycles``.
     """
 
     workload: str
@@ -55,6 +57,12 @@ class TuneResult:
     decision: "tuple[tuple[str, object], ...]" = ()
     best_plan: "object | None" = None
     fidelity: str = "full"
+
+    @property
+    def plan_scale(self) -> float:
+        """The problem scale the leaderboard was scored at: ``scale``,
+        halved on the ``reduced`` rung."""
+        return resolve_fidelity(self.fidelity).scale_of(self.scale)
 
     @property
     def speedup_vs_rule(self) -> float:
@@ -133,7 +141,7 @@ def tune(workload: str, gpu: str, *, objective: str = "cycles",
         best=best, baseline=baseline, leaderboard=leaderboard,
         evaluations=evaluator.spent, truncated=evaluator.truncated,
         decision=_decision_digest(summary), fidelity=rung.name,
-        best_plan=space.plan(best.point, scale=scale))
+        best_plan=space.plan(best.point, scale=rung.scale_of(scale)))
     if profile is not None and hasattr(profile, "observe_tuning"):
         profile.observe_tuning(result)
     return result

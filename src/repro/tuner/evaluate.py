@@ -66,12 +66,9 @@ class Evaluator:
             print(f"[tune:{self.strategy}] {message}", file=sys.stderr)
 
     def _job(self, point: ConfigPoint, rung: Fidelity):
-        if rung.simulated:
-            return self.space.job(point,
-                                  scale=self.scale * rung.scale_multiplier,
-                                  seed=self.seed, warmups=self.warmups)
-        return self.space.estimate_job(point, scale=self.scale,
-                                       seed=self.seed, warmups=self.warmups)
+        job = self.space.job if rung.simulated else self.space.estimate_job
+        return job(point, scale=rung.scale_of(self.scale), seed=self.seed,
+                   warmups=self.warmups)
 
     def evaluate(self, points, *, fidelity=None,
                  source: str = "search") -> "list[Candidate]":

@@ -48,6 +48,16 @@ def fig12_sweep(fig12_runner):
     return sweep
 
 
+@pytest.fixture
+def cache_pool(monkeypatch):
+    """An empty process-wide cache-pair pool for one test, so pairs
+    parked by earlier tests cannot change what the test counts."""
+    from repro.gpu import simulator
+    pool = simulator._CachePairPool()
+    monkeypatch.setattr(simulator, "_POOL", pool)
+    return pool
+
+
 @pytest.fixture(params=EVALUATION_PLATFORMS, ids=lambda g: g.name)
 def any_gpu(request):
     """Parametrized over the paper's four evaluation platforms."""

@@ -62,3 +62,57 @@ class TestVote:
     def test_throttled_property(self):
         assert ThrottleVote(1, 8, {}).throttled
         assert not ThrottleVote(8, 8, {}).throttled
+
+
+class TestVoteSeed:
+    """``cluster(seed=)`` reaches every launch of the throttling vote."""
+
+    @pytest.fixture
+    def launches(self, monkeypatch):
+        seeds = []
+        run = GpuSimulator.run
+
+        def recording_run(self, kernel, plan=None, *args, **kwargs):
+            seeds.append(kwargs.get("seed", 0))
+            return run(self, kernel, plan, *args, **kwargs)
+
+        monkeypatch.setattr(GpuSimulator, "run", recording_run)
+        return seeds
+
+    def test_cluster_seed_reaches_every_vote_launch(self, launches):
+        from repro import api
+        from repro.gpu.occupancy import max_ctas_per_sm
+
+        kernel = make_shared_table_kernel(n_ctas=45, warps=4)
+        n = len(throttle_candidates(max_ctas_per_sm(TESLA_K40, kernel)))
+        api.cluster(kernel, "CLU+TOT", gpu=TESLA_K40, seed=5)
+        # Per candidate: one warm-up at the seed, the measured launch
+        # at seed + 1.
+        assert launches == [5, 6] * n
+
+    def test_seed_zero_is_the_default(self):
+        from repro import api
+
+        kernel = make_shared_table_kernel(n_ctas=45, warps=4)
+        sim = GpuSimulator(TESLA_K40)
+        default = vote_active_agents(sim, kernel, X_PARTITION)
+        zero = vote_active_agents(sim, kernel, X_PARTITION, seed=0)
+        assert zero.cycles_by_candidate == default.cycles_by_candidate
+        assert zero.seed == default.seed == 0
+        assert (api.cluster(kernel, "CLU+TOT", gpu=TESLA_K40).describe()
+                == api.cluster(kernel, "CLU+TOT", gpu=TESLA_K40,
+                               seed=0).describe())
+
+    def test_seeded_vote_measures_at_its_seed(self):
+        from repro.core.agent import agent_plan
+        from repro.gpu.metrics import canonical_metrics
+        from repro.gpu.simulator import simulate
+
+        kernel = make_shared_table_kernel(n_ctas=45, warps=4)
+        sim = GpuSimulator(TESLA_K40)
+        vote = vote_active_agents(sim, kernel, X_PARTITION, seed=3)
+        plan = agent_plan(kernel, TESLA_K40, X_PARTITION,
+                          active_agents=vote.active_agents)
+        assert vote.measured(plan, 0, 1) is None
+        assert canonical_metrics(vote.measured(plan, 3, 1)) == \
+            canonical_metrics(simulate(sim, kernel, plan, seed=3))

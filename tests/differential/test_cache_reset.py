@@ -1,10 +1,11 @@
-"""A reset cache is a fresh cache; a recycled simulator is a new one.
+"""A reset cache is a fresh cache; a recycled pair is a new one.
 
-``simulate()`` and ``GpuSimulator.run()`` recycle one cold cache pair
-per simulator: they reset the pair when a call finishes and hand it
-to the next call.  That is only sound if ``reset()`` restores the
-freshly built state exactly, in every cache class, so these
-properties check it directly:
+``simulate()``, ``GpuSimulator.run()`` and the co-tenant runner draw
+their cold cache pairs from one process-wide pool keyed by cache
+geometry: they reset a pair when a call finishes and park it for the
+next call of that geometry, from any simulator.  That is only sound
+if ``reset()`` restores the freshly built state exactly, in every
+cache class, so these properties check it directly:
 
 * after any drawn op history and ``reset()``, replaying a drawn op
   sequence gives the same ``(hit, ready)`` stream, counters and
@@ -13,7 +14,12 @@ properties check it directly:
   replacement, and for both sectored caches;
 * ``simulate()`` and bare ``GpuSimulator.run()`` calls for different
   kernels, plans and platforms, interleaved on long-lived simulators,
-  each match the same call on a brand-new simulator, bit for bit.
+  each match the same call on a brand-new simulator, bit for bit;
+* jobs that each build their own simulator — on Tesla K40, GTX980,
+  the GTX980x2 chiplet part (which shares GTX980's pair), a scaled L2
+  and an isolated co-tenant mix — interleaved over one pool of a
+  drawn bound, each match the same job on brand-new caches and on
+  the reference core.
 
 Example counts scale with ``REPRO_FUZZ_CASES`` like the rest of the
 differential suite.
@@ -23,8 +29,9 @@ from __future__ import annotations
 
 import os
 import random
+from contextlib import contextmanager
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import api
@@ -32,8 +39,11 @@ from repro.gpu.config import PLATFORMS, WritePolicy
 from repro.gpu.fastpath import FastSectoredCache, FastSetAssociativeCache
 from repro.gpu.metrics import canonical_metrics
 from repro.gpu.refmodel import SectoredCache, SetAssociativeCache
-from repro.gpu.simulator import GpuSimulator, simulate
+from repro.gpu import simulator as simulator_module
+from repro.gpu.simulator import POOL_KEYS, GpuSimulator, simulate
 from repro.obs.tracer import Tracer
+from repro.tenancy import TenantMix, run_mix
+from repro.workloads.registry import REGISTRY
 
 from tests.differential.test_simulator_differential import random_kernel
 
@@ -177,3 +187,79 @@ def test_interleaved_simulate_calls_match_fresh_simulators(calls, fast):
         assert canonical_metrics(got) == canonical_metrics(want), \
             (gpu, kernel.name, scheme, seed, warmups)
         assert got.cta_records == want.cta_records
+
+
+#: Cache geometries for the pool property: GTX980x2 shares GTX980's
+#: key, the scaled L2 has its own (small enough that HST spills it).
+POOL_CONFIGS = {
+    "Tesla K40": PLATFORMS["Tesla K40"],
+    "GTX980": PLATFORMS["GTX980"],
+    "GTX980x2": PLATFORMS["GTX980x2"],
+    "Tesla K40 L2/64": PLATFORMS["Tesla K40"].with_scaled_l2(64),
+}
+#: The co-tenant job: two registry tenants, each in its own L2 slice.
+ISOLATED_MIX = TenantMix.of(
+    {"workload": "NN", "scheme": "CLU", "scale": 0.05},
+    {"workload": "ATX", "scale": 0.05}, policy="cluster-isolated")
+
+
+@contextmanager
+def pool_of(keys: int):
+    """Swap in an empty cache-pair pool bounded to ``keys`` keys."""
+    saved = simulator_module._POOL
+    simulator_module._POOL = simulator_module._CachePairPool(keys)
+    try:
+        yield
+    finally:
+        simulator_module._POOL = saved
+
+
+@SIM_FUZZ
+@example(jobs=[("simulate", "Tesla K40 L2/64", 3, "BSL", 0, 1),
+               ("simulate", "Tesla K40", 3, "BSL", 0, 1),
+               ("simulate", "Tesla K40 L2/64", 3, "CLU", 1, 0),
+               ("mix", "GTX980", 0),
+               ("simulate", "GTX980x2", 3, "CLU+TOT", 0, 1),
+               ("mix", "GTX980x2", 1)], keys=POOL_KEYS)
+@given(jobs=st.lists(st.one_of(
+    st.tuples(st.just("simulate"), st.sampled_from(sorted(POOL_CONFIGS)),
+              st.integers(min_value=0, max_value=3),
+              st.sampled_from(SCHEMES),
+              st.integers(min_value=0, max_value=2),
+              st.integers(min_value=0, max_value=2)),
+    st.tuples(st.just("mix"), st.sampled_from(("GTX980", "GTX980x2")),
+              st.integers(min_value=0, max_value=2))),
+    min_size=2, max_size=6),
+    keys=st.integers(min_value=1, max_value=POOL_KEYS))
+def test_pooled_pairs_cross_simulators(jobs, keys):
+    # Three random kernels fit any L2 here; HST's footprint does not,
+    # so it tells a scaled L2 from a full one.
+    kernels = [random_kernel(random.Random(0x9001 + k), k) for k in range(3)]
+    kernels.append(REGISTRY["HST"].kernel(scale=0.05,
+                                          config=PLATFORMS["Tesla K40"]))
+    with pool_of(keys):
+        for job in jobs:
+            if job[0] == "mix":
+                _, gpu, seed = job
+                got = run_mix(ISOLATED_MIX, gpu, seed=seed)
+                with pool_of(0):  # keeps nothing: every pair brand-new
+                    fresh = run_mix(ISOLATED_MIX, gpu, seed=seed)
+                    ref = run_mix(ISOLATED_MIX, gpu, seed=seed, fast=False)
+                want = [canonical_metrics(m) for m in fresh.metrics]
+                assert [canonical_metrics(m) for m in got.metrics] == want
+                assert [canonical_metrics(m) for m in ref.metrics] == want
+                assert got.tenants == fresh.tenants, job
+                continue
+            _, name, k, scheme, seed, warmups = job
+            config, kernel = POOL_CONFIGS[name], kernels[k]
+            plan = api.cluster(kernel, scheme, gpu=config,
+                               active_agents=1 if "TOT" in scheme else None)
+            got = simulate(config, kernel, plan, seed=seed, warmups=warmups)
+            fresh = simulate(config, kernel, plan, seed=seed,
+                             warmups=warmups,
+                             caches=GpuSimulator(config).fresh_caches())
+            ref_sim = GpuSimulator(config, fast=False)
+            ref = simulate(ref_sim, kernel, plan, seed=seed,
+                           warmups=warmups, caches=ref_sim.fresh_caches())
+            assert canonical_metrics(got) == canonical_metrics(fresh), job
+            assert canonical_metrics(ref) == canonical_metrics(fresh), job

@@ -95,7 +95,7 @@ class TestColdCellWork:
     SCALE = 0.2
 
     @pytest.fixture
-    def counts(self, monkeypatch):
+    def counts(self, monkeypatch, cache_pool):
         counts = {"run": 0, "fresh_caches": 0}
         run, fresh = GpuSimulator.run, GpuSimulator.fresh_caches
 

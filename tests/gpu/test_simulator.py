@@ -5,6 +5,7 @@ cache/timing effects the paper's evaluation depends on.
 from repro.core.agent import agent_plan
 from repro.core.indexing import X_PARTITION
 from repro.core.redirection import redirection_plan
+from repro.gpu.config import PLATFORMS
 from repro.gpu.scheduler import RoundRobinScheduler
 from repro.gpu.simulator import GpuSimulator, simulate
 
@@ -186,71 +187,129 @@ class TestWarmMeasurement:
 
 
 class TestCachePairRecycling:
+    """The process-wide pool of reset cache pairs (DESIGN.md, "One
+    cache-pair pool per process")."""
+
     def test_simulate_parks_one_reset_pair(self, kepler,
-                                           shared_table_kernel):
+                                           shared_table_kernel,
+                                           cache_pool):
         sim = GpuSimulator(kepler)
         first = simulate(sim, shared_table_kernel)
-        (pair,) = sim._parked
+        (pair,) = cache_pool._pairs.values()
         l1s, l2 = pair
         assert not any(l2._tags)
         assert all(not any(part._tags) for l1 in l1s for part in l1._parts)
         assert l2.stats.accesses == 0
         again = simulate(sim, shared_table_kernel)
-        assert sim._parked == [pair]
+        (still,) = cache_pool._pairs.values()
+        assert still is pair
         assert again.cycles == first.cycles
 
-    def test_nested_taker_gets_a_fresh_pair(self, kepler):
+    def test_nested_taker_gets_a_fresh_pair(self, kepler, cache_pool):
         sim = GpuSimulator(kepler)
-        outer = sim._take_caches()
-        inner = sim._take_caches()
+        outer = sim.take_caches()
+        inner = sim.take_caches()
         assert inner is not outer
-        sim._park_caches(inner)
-        sim._park_caches(outer)
-        assert sim._parked == [inner]
+        sim.park_caches(inner)
+        sim.park_caches(outer)
+        (kept,) = cache_pool._pairs.values()
+        assert kept is inner
 
     def test_bare_launch_recycles_the_pair(self, kepler,
-                                          shared_table_kernel):
+                                          shared_table_kernel, cache_pool):
         sim = GpuSimulator(kepler)
         first = sim.run(shared_table_kernel)
-        (pair,) = sim._parked
+        (pair,) = cache_pool._pairs.values()
         again = sim.run(shared_table_kernel)
-        assert sim._parked == [pair]
+        (still,) = cache_pool._pairs.values()
+        assert still is pair
         assert again.cycles == first.cycles
 
-    def test_private_simulator_skips_the_reset(self, kepler,
-                                               shared_table_kernel,
-                                               monkeypatch):
-        parked = []
-        monkeypatch.setattr(GpuSimulator, "_park_caches",
-                            lambda self, caches: parked.append(caches))
-        simulate(kepler, shared_table_kernel)  # builds its own simulator
-        assert parked == []
+    def test_config_path_reuses_the_pooled_pair(self, kepler,
+                                                shared_table_kernel,
+                                                cache_pool, monkeypatch):
+        built = []
+        fresh = GpuSimulator.fresh_caches
+
+        def counting_fresh(self):
+            built.append(self)
+            return fresh(self)
+
+        monkeypatch.setattr(GpuSimulator, "fresh_caches", counting_fresh)
+        first = simulate(kepler, shared_table_kernel)  # its own simulator
+        (pair,) = cache_pool._pairs.values()
+        again = simulate(kepler, shared_table_kernel)  # another one
         simulate(GpuSimulator(kepler), shared_table_kernel)
-        assert len(parked) == 1
+        assert len(built) == 1
+        (still,) = cache_pool._pairs.values()
+        assert still is pair
+        assert again.cycles == first.cycles
+
+    def test_key_is_the_cache_geometry(self, kepler, cache_pool):
+        import dataclasses
+
+        from repro.gpu.config import GTX980
+        from repro.gpu.simulator import cache_key
+
+        # A chiplet variant and a knob the caches never read share the
+        # flat die's pair; the core and every cache field split it.
+        gtx980x2 = PLATFORMS["GTX980x2"]
+        assert cache_key(gtx980x2, True) == cache_key(GTX980, True)
+        assert cache_key(dataclasses.replace(kepler, l2_latency=1.0),
+                         True) == cache_key(kepler, True)
+        assert cache_key(kepler, False) != cache_key(kepler, True)
+        for field, value in (("num_sms", 7), ("l1_size", 32768),
+                             ("l1_line", 64), ("l1_sectors", 2),
+                             ("l2_size", 786432), ("l2_line", 64)):
+            assert cache_key(dataclasses.replace(kepler, **{field: value}),
+                             True) != cache_key(kepler, True), field
+
+        sim = GpuSimulator(GTX980)
+        sim.park_caches(sim.take_caches())
+        (pair,) = cache_pool._pairs.values()
+        assert GpuSimulator(gtx980x2, hiding_cap=4.0).take_caches() is pair
+
+    def test_oldest_key_is_evicted(self, kepler, cache_pool):
+        from repro.gpu.simulator import POOL_KEYS
+
+        sims = [GpuSimulator(kepler.with_scaled_l2(d))
+                for d in range(1, POOL_KEYS + 2)]
+        pairs = [sim.take_caches() for sim in sims]
+        for sim, pair in zip(sims, pairs):
+            sim.park_caches(pair)
+        assert len(cache_pool._pairs) == POOL_KEYS
+        assert sims[0].take_caches() is not pairs[0]
+        assert all(sim.take_caches() is pair
+                   for sim, pair in zip(sims[1:], pairs[1:]))
 
     def test_caller_caches_are_left_alone(self, kepler,
-                                          shared_table_kernel):
+                                          shared_table_kernel, cache_pool):
         sim = GpuSimulator(kepler)
         caches = sim.fresh_caches()
         simulate(sim, shared_table_kernel, caches=caches)
-        assert sim._parked == []
+        assert cache_pool._pairs == {}
         assert caches[1].stats.accesses > 0
 
-    def test_concurrent_callers_never_share_a_pair(self, kepler):
+    def test_concurrent_callers_never_share_a_pair(self, kepler, cache_pool):
         import sys
         import threading
 
         from repro.gpu.metrics import canonical_metrics
 
         kernels = [make_row_band_kernel(), make_streaming_kernel()]
-        want = [canonical_metrics(simulate(GpuSimulator(kepler), k))
+        want = [canonical_metrics(simulate(GpuSimulator(kepler), k,
+                                           caches=GpuSimulator(
+                                               kepler).fresh_caches()))
                 for k in kernels]
         sim = GpuSimulator(kepler)
         mismatches = []
 
         def worker(index):
+            # Half the threads share one simulator, half build their
+            # own per call: every one of them draws from the one pool.
+            gpu = sim if index < 3 else kepler
             for _ in range(3):
-                got = canonical_metrics(simulate(sim, kernels[index % 2]))
+                got = canonical_metrics(simulate(gpu, kernels[index % 2]))
                 if got != want[index % 2]:
                     mismatches.append(index)
 
@@ -267,3 +326,31 @@ class TestCachePairRecycling:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
+        assert len(cache_pool._pairs) == 1
+
+    def test_executor_jobs_build_one_pair_per_key(self, cache_pool,
+                                                  monkeypatch):
+        from collections import Counter
+
+        from repro.engine.executors import (execute, measure_job,
+                                            simulate_job)
+        from repro.gpu.cache import default_fast
+        from repro.gpu.config import GTX980, TESLA_K40
+        from repro.gpu.simulator import cache_key
+
+        built = Counter()
+        fresh = GpuSimulator.fresh_caches
+
+        def counting_fresh(self):
+            built[cache_key(self.config, self.fast)] += 1
+            return fresh(self)
+
+        monkeypatch.setattr(GpuSimulator, "fresh_caches", counting_fresh)
+        for seed in range(4):
+            for gpu in ("GTX980", "Tesla K40"):
+                execute(simulate_job("NN", gpu, scale=0.05, seed=seed))
+                execute(measure_job("NN", gpu, plan="clu", scale=0.05,
+                                    seed=seed))
+        fast = default_fast()
+        assert built == {cache_key(GTX980, fast): 1,
+                         cache_key(TESLA_K40, fast): 1}

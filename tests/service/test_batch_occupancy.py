@@ -3,19 +3,15 @@
 The micro-batcher already counts batches and jobs; this file pins the
 occupancy section of the metrics snapshot (``capacity``/``fill_ratio``
 against the configured ``batch_max``) and the worker function that
-runs a micro-batch job by job, including its per-job error isolation
-and the heap freeze every process worker does at start.
+runs a micro-batch job by job, including its per-job error isolation.
 """
 
 from __future__ import annotations
 
-import gc
-
 from repro.engine.executors import execute
 from repro.engine.job import SimJob
 from repro.gpu.metrics import metrics_fingerprint
-from repro.service.config import ServiceConfig
-from repro.service.core import SimulationService, _execute_jobs
+from repro.service.core import _execute_jobs
 from repro.service.metrics import ServiceMetrics
 
 
@@ -86,13 +82,3 @@ class TestWorkerGrouping:
         outcomes = _execute_jobs(batch)
         assert [o[0] for o in outcomes] == ["ok", "error", "ok"]
         assert "NO-SUCH-APP" in outcomes[1][1]
-
-    def test_process_workers_freeze_inherited_heap(self):
-        """Pool workers move the heap they inherit into the permanent
-        generation, so full collections skip it."""
-        service = SimulationService(ServiceConfig(workers=1, cache=False))
-        pool = service._make_pool()
-        try:
-            assert pool.submit(gc.get_freeze_count).result(timeout=60) > 0
-        finally:
-            pool.shutdown()

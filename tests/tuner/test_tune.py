@@ -72,6 +72,18 @@ class TestTuneContract:
         assert result.speedup_vs_rule >= 1.0
         assert result.baseline.source == "framework"
 
+    @pytest.mark.parametrize("fidelity, multiplier",
+                             [("full", 1.0), ("reduced", 0.5)])
+    def test_best_plan_replays_its_score(self, fidelity, multiplier):
+        """``best_plan`` simulated at ``plan_scale`` gives ``best``."""
+        from repro import simulate
+
+        result = small_tune(fidelity=fidelity)
+        assert result.plan_scale == SCALE * multiplier
+        replay = simulate(WORKLOAD, GPU, plan=result.best_plan,
+                          scale=result.plan_scale, seed=0)
+        assert replay.cycles == result.best.cycles
+
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_bit_deterministic_leaderboard(self, name):
         """Fixed (seed, budget) -> identical leaderboard, run to run."""
